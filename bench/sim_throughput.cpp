@@ -307,9 +307,34 @@ void write_json(const char* path, const std::vector<Row>& rows,
   std::fprintf(stderr, "wrote %s\n", path);
 }
 
+void print_usage() {
+  std::printf(
+      "usage: sim_throughput [options]\n"
+      "  (no options)          run the default preset matrix\n"
+      "  --list                presets + registered workloads, then exit\n"
+      "  --scenario NAME       one preset, wl-NAME workload, or replay-NAME\n"
+      "  --backend B           blfq|zmq|vl|vlideal|caf|all (default all)\n"
+      "  --seed N              RNG seed (default 42)\n"
+      "  --scale N             multiply per-producer message counts\n"
+      "  --batch N             override every tenant's injection batch\n"
+      "  --shards N            run on the sharded mesh with N shards\n"
+      "  --faults SPEC         fault-plane events (fault/spec.hpp grammar)\n"
+      "  --no-supervisor       static quotas even where the preset\n"
+      "                        enables the QoS supervisor\n"
+      "  --out FILE            JSON results (default BENCH_sim.json)\n"
+      "  --digest FILE         deterministic digest lines for wl- rows\n"
+      "  -h, --help            this text, then exit\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i)
+    if (std::strcmp(argv[i], "--help") == 0 ||
+        std::strcmp(argv[i], "-h") == 0) {
+      print_usage();
+      return 0;
+    }
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--list") == 0) {
       std::printf("scenario presets (--scenario NAME):\n");

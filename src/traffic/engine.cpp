@@ -2,480 +2,56 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "common/csv.hpp"
-#include "common/rng.hpp"
-#include "fault/plane.hpp"
 #include "replay/lifecycle.hpp"
-#include "replay/trace.hpp"
-#include "runtime/qos_supervisor.hpp"
-#include "sim/task.hpp"
+#include "traffic/node.hpp"
 
 namespace vl::traffic {
 
 namespace {
 
-using squeue::Channel;
-using squeue::Msg;
 using sim::Co;
 using sim::SimThread;
 
-constexpr std::uint64_t kTickMask = (std::uint64_t{1} << 48) - 1;
-constexpr std::uint64_t kPillTenant = 0xff;
-
-std::uint64_t stamp(int tenant, int pid, Tick now) {
-  return (static_cast<std::uint64_t>(tenant) << 56) |
-         (static_cast<std::uint64_t>(pid) << 48) | (now & kTickMask);
+/// Payload channels per stage: one per consumer when producers spray
+/// (fan-out / mesh), else one shared channel.
+std::uint32_t stage_channels(const ScenarioSpec& spec) {
+  const bool spray =
+      spec.topology == Topology::kFanOut || spec.topology == Topology::kMesh;
+  return spray ? static_cast<std::uint32_t>(std::max(spec.consumers, 1)) : 1u;
 }
 
-/// Derive an independent RNG stream for one actor of the run. Xoshiro
-/// seeding splitmixes the value, so consecutive salts give uncorrelated
-/// streams.
-std::uint64_t split_seed(std::uint64_t seed, std::uint64_t salt) {
-  return seed ^ (0x9e3779b97f4a7c15ull * (salt + 1));
-}
+/// The classic engine's routing: fan-out rotates over the node's
+/// first-stage channels per message, mesh draws one uniformly; a replayed
+/// record's dst is reduced onto the channel count.
+class LocalRouting final : public node::Routing {
+ public:
+  LocalRouting(std::uint64_t nch, bool rotate)
+      : Routing(0, 0x4000, /*fate_first=*/false), nch_(nch), rotate_(rotate) {}
 
-struct StageChannel {
-  std::unique_ptr<Channel> ch;
-  int workers = 1;
-  std::string label;
-  /// Payload messages fed into this channel (producer flushes + upstream
-  /// relays). Final by the time its termination pill is built, so the pill
-  /// can carry the exact drain target for the channel's sole worker.
-  std::uint64_t fed = 0;
+  std::uint64_t draw(Xoshiro256& rng, std::uint64_t seq) const override {
+    if (nch_ <= 1) return 0;
+    return rotate_ ? seq : rng.below(nch_);
+  }
+  node::Dest place(std::uint64_t key) const override {
+    const std::uint64_t c = key % nch_;
+    return {0, static_cast<int>(c), c};
+  }
+
+ private:
+  std::uint64_t nch_;
+  bool rotate_;
 };
 
-struct Stage {
-  std::vector<StageChannel> channels;
-  int workers_remaining = 0;
-};
-
-struct Ctx {
-  runtime::Machine& m;
-  const ScenarioSpec& spec;
-  squeue::Backend backend;
-  std::uint64_t seed;
-
-  std::vector<Stage> stages;
-  std::vector<std::unique_ptr<Channel>> acks;  // per producer, closed loop
-  std::vector<TenantMetrics> tenants;
-  std::vector<DepthSeries> depths;  // parallel to flattened stage channels
-
-  int producers_remaining = 0;
-  sim::AsyncOp<int> producers_done;
-  int consumers_remaining = 0;  // final-stage workers
-  bool all_done = false;
-
-  /// Fault plane (null on clean runs). `chan_faults` pre-gates the
-  /// per-message loss/dup hook: spec has loss/dup events AND the backend
-  /// is a software one (hardware backends model reliable interconnects).
-  fault::FaultPlane* fp = nullptr;
-  bool chan_faults = false;
-
-  /// Send-boundary trace tap (null unless the caller's RunHooks carry a
-  /// recorder). Recording is a pure observation — no events scheduled.
-  replay::TraceRecorder* rec = nullptr;
-  /// Replay source: producers re-offer this trace's per-pid record streams
-  /// instead of their tenants' arrival processes. Null on live runs.
-  const replay::Trace* trace = nullptr;
-  /// Lifecycle plane (null on static runs): tenant churn windows and
-  /// one-shot SQI reconfig events, consulted by producers and workers.
-  replay::LifecyclePlane* lp = nullptr;
-
-  std::uint8_t payload_words(const TenantSpec& t) const {
-    // CAF channels carry fixed single-word frames (multi-word register
-    // sequences interleave under M:N sharing), so CAF runs stamp-only.
-    return backend == squeue::Backend::kCaf ? std::uint8_t{1} : t.msg_words;
-  }
-
-  /// Termination pill. The stamp bits [47:0] — meaningless for a pill —
-  /// carry the channel's exact payload count, so a sole worker can drain
-  /// to the count instead of trusting arrival order: VL's § III-B
-  /// injection-retry recovery can land a straggler *after* a younger line
-  /// (the registration recycle maps returned data to the next armed ring
-  /// line), so "pill seen" does not imply "channel empty".
-  Msg make_pill(std::uint64_t count = 0) const {
-    Msg p;
-    p.n = 1;
-    p.w[0] = (kPillTenant << 56) | (count & kTickMask);
-    return p;
-  }
-};
-
-Co<void> producer(Ctx& cx, SimThread t, int tenant_id, int pid) {
-  const TenantSpec& ts = cx.spec.tenants[static_cast<std::size_t>(tenant_id)];
-  auto arrival = make_arrival(ts.arrival, split_seed(cx.seed, pid));
-  Xoshiro256 route_rng(split_seed(cx.seed, 0x4000 + pid));
-  Channel* ack = cx.spec.closed_loop
-                     ? cx.acks[static_cast<std::size_t>(pid)].get()
-                     : nullptr;
-  auto& eq = cx.m.eq();
-  auto& tm = cx.tenants[static_cast<std::size_t>(tenant_id)];
-  Stage& s0 = cx.stages.front();
-  const auto nch = static_cast<std::uint64_t>(s0.channels.size());
-  const std::uint8_t words = cx.payload_words(ts);
-  const std::uint64_t target = ts.messages_per_producer;
-  // Closed loops cap the effective batch at the window — a producer may
-  // never hold more unacked messages than its in-flight budget.
-  const std::uint64_t batch =
-      ack ? std::min<std::uint64_t>(ts.batch, cx.spec.window)
-          : std::max<std::uint32_t>(ts.batch, 1);
-  int outstanding = 0;
-  // Per-channel sub-batches: every message routes individually (fan-out
-  // rotates per message, mesh redraws per message) and accumulates into
-  // its channel's sub-batch; at lap end the non-empty sub-batches flush in
-  // ascending channel order, one send_many per channel touched. This keeps
-  // batched injection (the per-lap accumulation trade) without pinning a
-  // whole burst to one consumer. With batch == 1 a lap is one message, so
-  // the rotation counter and mesh RNG draws replay the historic per-lap
-  // routing draw for draw and BENCH baselines are unaffected.
-  std::vector<std::vector<Msg>> sub(nch);
-  std::uint64_t seq = 0;  // routing counter: advances per generated message
-
-  for (std::uint64_t i = 0; i < target;) {
-    // Assemble up to `batch` messages: each paces on the arrival process
-    // and is stamped at its generation instant, so batching adds the
-    // producer-side accumulation delay to the measured latency — exactly
-    // the trade batched injection makes.
-    std::uint64_t assembled = 0;
-    while (assembled < batch && i < target) {
-      if (cx.lp && cx.lp->tenant_has_events(tenant_id)) {
-        Tick at;
-        while ((at = cx.lp->next_active(tenant_id, eq.now())) != 0) {
-          if (at == replay::LifecyclePlane::kNever) {
-            // Departed for good: the rest of the budget is forfeited, not
-            // dropped — never generated, so conservation stays exact and
-            // the count-carrying pills still match what was fed.
-            cx.lp->note_forfeit(target - i);
-            i = target;
-            break;
-          }
-          co_await sim::Delay(eq, at - eq.now());
-        }
-        if (i >= target) break;
-      }
-      Tick gap = arrival->next_gap(eq.now());
-      if (cx.fp) gap = cx.fp->scale_gap(0, ts.qos, eq.now(), gap);
-      if (gap) co_await sim::Delay(eq, gap);
-      if (cx.spec.produce_compute) co_await t.compute(cx.spec.produce_compute);
-
-      ++tm.generated;
-      std::uint64_t c = 0;
-      if (nch > 1)
-        c = cx.spec.topology == Topology::kFanOut ? seq % nch
-                                                  : route_rng.below(nch);
-      ++seq;  // dropped messages advance the rotation too
-      Channel& ch = *s0.channels[c].ch;
-      if (ts.drop_depth && ch.depth() >= ts.drop_depth) {
-        ++tm.dropped;
-        ++i;
-        continue;
-      }
-      // Channel-level fault fate, decided before the message joins its
-      // sub-batch: a dropped/duplicated message never desyncs the `fed`
-      // pill counts, because only what actually lands in the batch is
-      // counted at flush time.
-      int copies = 1;
-      if (cx.chan_faults) {
-        copies = cx.fp->chan_copies(0, eq.now());
-        if (copies == 0) {
-          ++tm.dropped;
-          ++i;
-          continue;
-        }
-      }
-      Msg msg;
-      msg.n = words;
-      msg.qos = ts.qos;
-      msg.w[0] = stamp(tenant_id, pid, eq.now());
-      for (std::uint8_t w = 1; w < words; ++w)
-        msg.w[w] = (static_cast<std::uint64_t>(tenant_id) << 32) | i;
-      for (int k = 0; k < copies; ++k) sub[c].push_back(msg);
-      if (cx.rec)
-        for (int k = 0; k < copies; ++k)
-          cx.rec->on_send(static_cast<std::uint16_t>(pid),
-                          static_cast<std::uint16_t>(tenant_id), msg.qos,
-                          msg.n, c, eq.now());
-      ++i;
-      ++assembled;
-    }
-    // Flush the lap: ascending channel order, closed-loop window re-checked
-    // per sub-batch so outstanding never exceeds the in-flight budget.
-    for (std::uint64_t c = 0; c < nch; ++c) {
-      auto& b = sub[c];
-      if (b.empty()) continue;
-      if (ack)
-        while (outstanding + static_cast<int>(b.size()) > cx.spec.window) {
-          co_await ack->recv1(t);
-          --outstanding;
-        }
-      const Tick send_start = eq.now();
-      co_await s0.channels[c].ch->send_many(t, b);  // one batched injection
-      tm.blocked_ticks += eq.now() - send_start;  // time-in-backpressure
-      tm.sent += b.size();
-      s0.channels[c].fed += b.size();
-      if (ack) outstanding += static_cast<int>(b.size());
-      b.clear();
-    }
-  }
-  if (ack)
-    while (outstanding > 0) {
-      co_await ack->recv1(t);
-      --outstanding;
-    }
-  if (--cx.producers_remaining == 0) cx.producers_done.complete(0);
-}
-
-/// Replay-mode producer: re-offers the trace's per-pid record stream.
-/// Pacing reconstructs each record's absolute generation tick
-/// (TraceArrival::next_gap), and class / payload width / destination come
-/// from the record instead of the spec's RNG draws. The trace is the
-/// post-shed stream, so drop_depth, fault loss/dup, and produce_compute
-/// are all skipped — their effects are already in the recorded ticks.
-/// Batching follows the tenant's spec batch, reproducing the recorded
-/// run's accumulate-then-flush injection shape.
-Co<void> replay_producer(Ctx& cx, SimThread t, int tenant_id, int pid) {
-  const TenantSpec& ts = cx.spec.tenants[static_cast<std::size_t>(tenant_id)];
-  auto& eq = cx.m.eq();
-  auto& tm = cx.tenants[static_cast<std::size_t>(tenant_id)];
-  Stage& s0 = cx.stages.front();
-  const auto nch = static_cast<std::uint64_t>(s0.channels.size());
-  const std::uint64_t batch = std::max<std::uint32_t>(ts.batch, 1);
-  replay::TraceArrival rep(*cx.trace, static_cast<std::uint16_t>(pid));
-  std::vector<std::vector<Msg>> sub(nch);
-
-  while (!rep.done()) {
-    std::uint64_t assembled = 0;
-    while (assembled < batch && !rep.done()) {
-      const Tick gap = rep.next_gap(eq.now());
-      if (gap) co_await sim::Delay(eq, gap);
-      const replay::TraceRecord& r0 = rep.record();
-      ++tm.generated;
-      const std::uint64_t c = nch > 1 ? r0.dst % nch : 0;
-      Msg msg;
-      // CAF carries single-word frames (see payload_words); a VL-recorded
-      // trace replayed onto CAF clamps like a live run would.
-      msg.n = cx.backend == squeue::Backend::kCaf ? std::uint8_t{1}
-                                                  : r0.words;
-      msg.qos = r0.cls;
-      msg.w[0] = stamp(tenant_id, pid, eq.now());
-      for (std::uint8_t w = 1; w < msg.n; ++w)
-        msg.w[w] = (static_cast<std::uint64_t>(tenant_id) << 32) | assembled;
-      sub[c].push_back(msg);
-      if (cx.rec)  // re-recording a replay reproduces the trace
-        cx.rec->on_send(static_cast<std::uint16_t>(pid),
-                        static_cast<std::uint16_t>(tenant_id), msg.qos, msg.n,
-                        c, eq.now());
-      rep.advance();
-      ++assembled;
-    }
-    for (std::uint64_t c = 0; c < nch; ++c) {
-      auto& b = sub[c];
-      if (b.empty()) continue;
-      const Tick send_start = eq.now();
-      co_await s0.channels[c].ch->send_many(t, b);
-      tm.blocked_ticks += eq.now() - send_start;
-      tm.sent += b.size();
-      s0.channels[c].fed += b.size();
-      b.clear();
-    }
-  }
-  if (--cx.producers_remaining == 0) cx.producers_done.complete(0);
-}
-
-Co<void> worker(Ctx& cx, SimThread t, int stage_idx, int chan_idx) {
-  Stage& st = cx.stages[static_cast<std::size_t>(stage_idx)];
-  StageChannel& sc = st.channels[static_cast<std::size_t>(chan_idx)];
-  Channel& ch = *sc.ch;
-  const bool final_stage =
-      stage_idx + 1 == static_cast<int>(cx.stages.size());
-  auto& eq = cx.m.eq();
-  // Flattened channel ordinal (the reconfig@:channel= numbering — same
-  // order as the depth series).
-  int flat = chan_idx;
-  for (int s = 0; s < stage_idx; ++s)
-    flat += static_cast<int>(cx.stages[static_cast<std::size_t>(s)]
-                                 .channels.size());
-
-  // A channel's sole worker drains opportunistically in batches and
-  // terminates on the exact payload count its pill carries — arrival order
-  // is not trusted, because VL's injection-retry recovery can surface the
-  // pill ahead of a straggling payload line. Shared channels stay on
-  // one-message receives and first-pill semantics: the coordinator sends
-  // one pill per worker, and their payload split is not knowable up front.
-  const std::size_t window = sc.workers == 1 ? std::size_t{8} : 1;
-  std::vector<Msg> drained(window);
-  std::vector<Msg> relay;
-  std::uint64_t expected = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t received = 0;
-
-  while (received < expected) {
-    // SQI re-registration (reconfig@): between receive laps the consumer
-    // drops its armed demand and re-registers — § III-B migration onto the
-    // same thread. Landed frames stay readable, so no message is lost.
-    if (cx.lp && cx.lp->take_reconfig(flat, eq.now()) && ch.reconfigure(t))
-      cx.lp->note_reconfig_applied();
-    const std::size_t got =
-        co_await ch.recv_many(t, std::span<Msg>(drained.data(), window), 1);
-    relay.clear();
-    for (std::size_t k = 0; k < got; ++k) {
-      Msg& msg = drained[k];
-      const std::uint64_t tenant = msg.w[0] >> 56;
-      if (tenant == kPillTenant) {
-        if (sc.workers == 1) {
-          expected = msg.w[0] & kTickMask;  // drain target; keep going
-          continue;
-        }
-        expected = received;  // shared channel: this pill is ours, stop
-        break;
-      }
-      if (cx.spec.consume_compute) co_await t.compute(cx.spec.consume_compute);
-      if (final_stage) {
-        auto& tm = cx.tenants[static_cast<std::size_t>(tenant)];
-        ++tm.delivered;
-        tm.latency.record((eq.now() - msg.w[0]) & kTickMask);
-        if (cx.spec.closed_loop) {
-          const auto pid = static_cast<std::size_t>((msg.w[0] >> 48) & 0xff);
-          co_await cx.acks[pid]->send1(t, 1);
-        }
-      } else {
-        // Pipeline relay: preserve the stamp so latency stays end-to-end.
-        relay.push_back(msg);
-      }
-      ++received;
-    }
-    if (!relay.empty()) {
-      Stage& next = cx.stages[static_cast<std::size_t>(stage_idx) + 1];
-      co_await next.channels.front()
-          .ch->send_many(t, relay);  // relay the drained run as one batch
-      next.channels.front().fed += relay.size();
-    }
-  }
-
-  if (--st.workers_remaining == 0 && !final_stage) {
-    // Last worker of this stage: all payload is already enqueued
-    // downstream, so pills sent now arrive after it.
-    Stage& next = cx.stages[static_cast<std::size_t>(stage_idx) + 1];
-    for (auto& nc : next.channels)
-      for (int k = 0; k < nc.workers; ++k)
-        co_await nc.ch->send(t, cx.make_pill(nc.workers == 1 ? nc.fed : 0));
-  }
-  if (final_stage && --cx.consumers_remaining == 0) cx.all_done = true;
-}
-
-Co<void> coordinator(Ctx& cx, SimThread t) {
-  co_await cx.producers_done;
-  for (auto& sc : cx.stages.front().channels)
-    for (int k = 0; k < sc.workers; ++k)
-      co_await sc.ch->send(t, cx.make_pill(sc.workers == 1 ? sc.fed : 0));
-}
-
-Co<void> depth_sampler(Ctx& cx) {
-  for (;;) {
-    std::size_t i = 0;
-    for (auto& st : cx.stages)
-      for (auto& sc : st.channels) {
-        auto& d = cx.depths[i++];
-        d.depth.record(static_cast<double>(sc.ch->depth()));
-        ++d.samples;
-      }
-    if (cx.all_done) break;
-    co_await sim::Delay(cx.m.eq(), cx.spec.depth_sample_period);
-  }
-}
-
-/// Register the run's timeline series: per-class cumulative traffic
-/// counters (aggregated over the class's tenants exactly the way
-/// ScenarioMetrics::by_class() does, so the final epoch equals the
-/// end-of-run report), plus the kernel/device counters the QoS supervisor
-/// watches. Closures read cx/machine state in place — call
-/// Timeline::detach() before cx's metrics are moved out.
-void register_series(obs::Timeline& tl, Ctx& cx, runtime::Machine& m,
-                     squeue::ChannelFactory& f) {
-  tl.add_series("eq.executed",
-                [&m] { return static_cast<double>(m.eq().executed()); });
-  tl.add_series("chan.depth", [&cx] {
-    std::uint64_t d = 0;
-    for (auto& st : cx.stages)
-      for (auto& sc : st.channels) d += sc.ch->depth();
-    return static_cast<double>(d);
-  });
-  tl.add_series("vlrd.push_quota_nacks", [&m] {
-    return static_cast<double>(m.vlrd_stats().push_quota_nacks);
-  });
-  tl.add_series("vlrd.fetch_nacks", [&m] {
-    return static_cast<double>(m.vlrd_stats().fetch_nacks);
-  });
-  if (f.backend() == squeue::Backend::kCaf) {
-    squeue::CafDevice& dev = f.caf_device();
-    for (std::size_t c = 0; c < kQosClasses; ++c) {
-      const auto cls = static_cast<QosClass>(c);
-      tl.add_series(std::string("caf.occupancy.") + to_string(cls),
-                    [&dev, cls] {
-                      return static_cast<double>(dev.class_occupancy(cls));
-                    });
-    }
-  }
-
-  bool present[kQosClasses] = {};
-  for (const auto& t : cx.tenants) present[static_cast<std::size_t>(t.qos)] = true;
-  for (std::size_t c = 0; c < kQosClasses; ++c) {
-    if (!present[c]) continue;
-    const auto cls = static_cast<QosClass>(c);
-    const std::string base = std::string("class.") + to_string(cls) + ".";
-    auto fold = [&cx, cls](auto&& view) {
-      double acc = 0.0;
-      for (const auto& t : cx.tenants)
-        if (t.qos == cls) acc += view(t);
-      return acc;
-    };
-    tl.add_series(base + "delivered", [fold] {
-      return fold([](const TenantMetrics& t) {
-        return static_cast<double>(t.delivered);
-      });
-    });
-    tl.add_series(base + "sent", [fold] {
-      return fold(
-          [](const TenantMetrics& t) { return static_cast<double>(t.sent); });
-    });
-    tl.add_series(base + "blocked_ticks", [fold] {
-      return fold([](const TenantMetrics& t) {
-        return static_cast<double>(t.blocked_ticks);
-      });
-    });
-    tl.add_series(base + "p99", [&cx, cls] {
-      LogHistogram h;
-      for (const auto& t : cx.tenants)
-        if (t.qos == cls) h.merge(t.latency);
-      return static_cast<double>(h.percentile(99));
-    });
-    tl.add_series(base + "slo_within", [&cx, cls] {
-      // Cumulative in-SLO deliveries — the raw counter behind slo_att_pct.
-      // The QoS supervisor differences consecutive epochs of this and of
-      // `delivered` to get a *windowed* attainment, which reacts to the
-      // current epoch instead of averaging over the whole run.
-      std::uint64_t within = 0;
-      for (const auto& t : cx.tenants)
-        if (t.qos == cls && t.slo_p99) within += t.slo_within();
-      return static_cast<double>(within);
-    });
-    tl.add_series(base + "slo_att_pct", [&cx, cls] {
-      // ClassAgg::slo_attained_pct over the class's SLO-carrying tenants.
-      std::uint64_t slo_delivered = 0, slo_within = 0;
-      for (const auto& t : cx.tenants) {
-        if (t.qos != cls || !t.slo_p99) continue;
-        slo_delivered += t.delivered;
-        slo_within += t.slo_within();
-      }
-      if (!slo_delivered) return 100.0;
-      return 100.0 * static_cast<double>(slo_within) /
-             static_cast<double>(slo_delivered);
-    });
-  }
+/// Termination: once every producer finishes, one pill per first-stage
+/// worker.
+Co<void> coordinator(node::Node& nd, SimThread t) {
+  co_await nd.producers_done;
+  co_await node::send_pills(nd.stages.front(), t);
 }
 
 /// Drive the queue to completion, sampling the timeline at every
@@ -507,240 +83,115 @@ void run_sampled(runtime::Machine& m, obs::Timeline& tl, Tick period,
 
 EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
                          int scale, const obs::RunHooks* obs) {
-  const std::string err = validate(raw);
-  if (!err.empty())
-    throw std::invalid_argument("invalid scenario '" + raw.name + "': " + err);
+  node::require_valid(raw);
   const ScenarioSpec spec = scaled(raw, scale);
+  const squeue::Backend backend = f_.backend();
 
-  Ctx cx{m_, spec, f_.backend(), seed, {}, {}, {}, {}, 0, {}, 0, false};
+  // Shared setup; the node arms the fault plane before any actor is
+  // spawned, so its stall events hold fixed positions in the deterministic
+  // (tick, seq) stream.
+  node::Run run(spec, backend, seed, obs, 1, /*sharded=*/false);
+  node::Node nd(run, 0, m_, f_, spec);
 
-  // Fault plane: armed before any actor is spawned, so its stall events
-  // hold fixed positions in the deterministic (tick, seq) stream.
-  std::unique_ptr<fault::FaultPlane> plane;
-  if (!spec.faults.empty()) {
-    plane = std::make_unique<fault::FaultPlane>(spec.faults, 1);
-    plane->arm_machine(m_, 0);
-    cx.fp = plane.get();
-    cx.chan_faults = plane->mutates_channels() &&
-                     (f_.backend() == squeue::Backend::kBlfq ||
-                      f_.backend() == squeue::Backend::kZmq);
-  }
-
-  // --- replay / record / lifecycle hookup -----------------------------------
-  // All wired before any actor spawns: the spawn site picks the producer
-  // flavour, and the recorder must be live before the first send.
-  cx.trace = spec.replay;
-  if (cx.trace) {
-    if (cx.trace->sharded)
-      throw std::invalid_argument(
-          "replay: trace '" + cx.trace->scenario +
-          "' was recorded by the sharded engine; replay it via run_sharded");
-    if (cx.trace->producers != static_cast<std::uint32_t>(spec.producers) ||
-        cx.trace->tenants != spec.tenants.size())
-      throw std::invalid_argument(
-          "replay: trace shape (producers=" +
-          std::to_string(cx.trace->producers) +
-          ", tenants=" + std::to_string(cx.trace->tenants) +
-          ") does not match scenario '" + spec.name + "' (producers=" +
-          std::to_string(spec.producers) +
-          ", tenants=" + std::to_string(spec.tenants.size()) + ")");
-  }
-  if (obs && obs->recorder) {
-    cx.rec = obs->recorder;
-    cx.rec->begin(spec.name, squeue::to_string(f_.backend()), seed,
-                  static_cast<std::uint32_t>(spec.producers),
-                  static_cast<std::uint32_t>(spec.tenants.size()),
-                  /*sharded=*/false);
-  }
   std::unique_ptr<replay::LifecyclePlane> lplane;
   if (!spec.lifecycle.empty()) {
-    if (spec.lifecycle.has_reconfig() &&
-        f_.backend() != squeue::Backend::kVl &&
-        f_.backend() != squeue::Backend::kVlIdeal)
+    if (spec.lifecycle.has_reconfig() && backend != squeue::Backend::kVl &&
+        backend != squeue::Backend::kVlIdeal)
       throw std::invalid_argument(
           "lifecycle: reconfig@ is SQI re-registration — only the VL "
           "backends have a registration to drop; backend '" +
-          std::string(squeue::to_string(f_.backend())) + "' does not");
+          std::string(squeue::to_string(backend)) + "' does not");
     std::vector<std::string> names;
     for (const auto& t : spec.tenants) names.push_back(t.name);
     lplane = std::make_unique<replay::LifecyclePlane>(spec.lifecycle, names);
-    cx.lp = lplane.get();
+    run.lp = lplane.get();
     // Quota re-carve at every churn boundary: recompute the per-class
     // carve over the classes still active, so hardware budgets track the
     // live tenant mix (runtime::size_quotas — the same arithmetic as the
     // static carve and the QoS supervisor, so nothing drifts).
-    if (spec.qos && (f_.backend() == squeue::Backend::kVl ||
-                     f_.backend() == squeue::Backend::kCaf)) {
-      for (const Tick at : cx.lp->churn_boundaries()) {
-        m_.eq().schedule_at(at, [this, &cx, &spec, at] {
+    if (spec.qos && (backend == squeue::Backend::kVl ||
+                     backend == squeue::Backend::kCaf)) {
+      for (const Tick at : run.lp->churn_boundaries()) {
+        m_.eq().schedule_at(at, [this, &run, &spec, backend, at] {
           bool present[kQosClasses] = {};
           bool any = false;
           for (std::size_t ti = 0; ti < spec.tenants.size(); ++ti) {
-            if (!cx.lp->tenant_active_at(static_cast<int>(ti), at)) continue;
+            if (!run.lp->tenant_active_at(static_cast<int>(ti), at)) continue;
             present[static_cast<std::size_t>(spec.tenants[ti].qos)] = true;
             any = true;
           }
           if (!any) return;  // everyone gone — leave the carve alone
           runtime::ChannelDemand d =
-              channel_demand_for(spec, f_.backend(), m_.cfg());
+              channel_demand_for(spec, backend, m_.cfg());
           runtime::base_weights(d, present);
           const runtime::QuotaPlan plan = runtime::size_quotas(m_.cfg(), d);
           for (std::size_t c = 0; c < kQosClasses; ++c) {
-            if (f_.backend() == squeue::Backend::kVl)
+            if (backend == squeue::Backend::kVl)
               m_.cluster().set_class_quota(static_cast<QosClass>(c),
                                            plan.vl_class_quota[c]);
             else
               f_.caf_device().set_class_credit(static_cast<QosClass>(c),
                                                plan.caf_class_credits[c]);
           }
-          cx.lp->note_recarve();
+          run.lp->note_recarve();
         });
       }
     }
   }
 
   // --- wire the topology ----------------------------------------------------
-  std::uint8_t frame = 1;
-  for (const auto& t : spec.tenants)
-    frame = std::max(frame, cx.payload_words(t));
-  // A foreign trace may carry wider payloads than the spec. CAF stays at
-  // its single-word frame: the replay producer clamps record widths to 1
-  // there (see payload_words), so widening the channel would desynchronize
-  // the fixed frame length from the messages actually sent.
-  if (cx.trace && cx.backend != squeue::Backend::kCaf)
-    for (const auto& r : cx.trace->records) frame = std::max(frame, r.words);
-
+  const int nchan = static_cast<int>(stage_channels(spec));
   const int nstages = spec.topology == Topology::kPipeline ? spec.stages : 1;
-  for (int s = 0; s < nstages; ++s) {
-    Stage st;
-    const int nchan =
-        (spec.topology == Topology::kFanOut || spec.topology == Topology::kMesh)
-            ? spec.consumers
-            : 1;
-    const int workers_per_chan = nchan == 1 ? spec.consumers : 1;
-    for (int c = 0; c < nchan; ++c) {
-      StageChannel sc;
-      sc.label = "s" + std::to_string(s) + "c" + std::to_string(c);
-      sc.ch = f_.make(sc.label, spec.capacity_hint, frame);
-      sc.workers = workers_per_chan;
-      st.workers_remaining += workers_per_chan;
-      st.channels.push_back(std::move(sc));
-    }
-    cx.stages.push_back(std::move(st));
-  }
-  for (auto& st : cx.stages)
-    for (auto& sc : st.channels) {
-      DepthSeries d;
-      d.channel = sc.label;
-      cx.depths.push_back(std::move(d));
-    }
-
+  for (int s = 0; s < nstages; ++s)
+    nd.add_stage("s" + std::to_string(s), nchan,
+                 nchan == 1 ? spec.consumers : 1);
   if (spec.closed_loop)
     for (int p = 0; p < spec.producers; ++p)
-      cx.acks.push_back(f_.make("ack" + std::to_string(p), 0, 1));
-
-  for (const auto& t : spec.tenants) {
-    TenantMetrics tm;
-    tm.tenant = t.name;
-    tm.qos = t.qos;
-    tm.slo_p99 = t.slo_p99;
-    cx.tenants.push_back(std::move(tm));
-  }
+      nd.acks.push_back(f_.make("ack" + std::to_string(p), 0, 1));
+  LocalRouting routing(static_cast<std::uint64_t>(nchan),
+                       spec.topology == Topology::kFanOut);
+  run.routing = &routing;
 
   // --- spawn the actors -----------------------------------------------------
-  const std::vector<int> split = tenant_producer_split(spec);
-  cx.producers_remaining = 0;
-  for (int n : split) cx.producers_remaining += n;
-  cx.consumers_remaining = cx.stages.back().workers_remaining;
-
-  CoreId core = 0;
-  auto next_thread = [&] {
-    const CoreId c = core;
-    core = (core + 1) % m_.num_cores();
-    return m_.thread_on(c);
-  };
-
-  int pid = 0;
-  for (std::size_t ti = 0; ti < split.size(); ++ti)
-    for (int k = 0; k < split[ti]; ++k) {
-      if (cx.trace)
-        sim::spawn(replay_producer(cx, next_thread(), static_cast<int>(ti),
-                                   pid++));
-      else
-        sim::spawn(producer(cx, next_thread(), static_cast<int>(ti), pid++));
-    }
-  for (std::size_t s = 0; s < cx.stages.size(); ++s)
-    for (std::size_t c = 0; c < cx.stages[s].channels.size(); ++c)
-      for (int w = 0; w < cx.stages[s].channels[c].workers; ++w)
-        sim::spawn(worker(cx, next_thread(), static_cast<int>(s),
-                          static_cast<int>(c)));
-  sim::spawn(coordinator(cx, next_thread()));
-  sim::spawn(depth_sampler(cx));
+  const std::vector<int> tenant_of = node::producer_tenants(spec);
+  nd.producers_remaining = spec.producers;
+  for (int pid = 0; pid < spec.producers; ++pid) {
+    const int ti = tenant_of[static_cast<std::size_t>(pid)];
+    sim::spawn(node::producer(
+        nd, nd.next_thread(), ti, pid,
+        spec.tenants[static_cast<std::size_t>(ti)].messages_per_producer));
+  }
+  for (std::size_t s = 0; s < nd.stages.size(); ++s)
+    for (std::size_t c = 0; c < nd.stages[s].channels.size(); ++c)
+      for (int w = 0; w < nd.stages[s].channels[c].workers; ++w)
+        sim::spawn(node::worker(nd, nd.next_thread(), static_cast<int>(s),
+                                static_cast<int>(c)));
+  sim::spawn(coordinator(nd, nd.next_thread()));
+  sim::spawn(node::depth_sampler(nd));
 
   // --- observability hookup (zero-perturbation: see run_sampled) ------------
-  // The supervisor consumes timeline cuts, so a supervised run without
-  // caller-provided hooks still samples — into a private local timeline.
-  const bool want_sup = spec.supervisor && spec.qos &&
-                        (f_.backend() == squeue::Backend::kVl ||
-                         f_.backend() == squeue::Backend::kCaf);
-  obs::Timeline local_tl;
-  obs::Timeline* tl = obs ? obs->timeline : nullptr;
-  if (want_sup && !tl) tl = &local_tl;
-  if (tl) register_series(*tl, cx, m_, f_);
-  if (tl && cx.fp) cx.fp->register_series(*tl);
-
-  std::unique_ptr<runtime::QosSupervisor> sup;
-  if (want_sup) {
-    bool present[kQosClasses] = {};
-    for (const auto& t : spec.tenants)
-      present[static_cast<std::size_t>(t.qos)] = true;
-    sup = std::make_unique<runtime::QosSupervisor>(
-        runtime::QosSupervisor::Config{}, present);
-    sup->attach(m_.cfg(), channel_demand_for(spec, f_.backend(), m_.cfg()),
-                f_.backend() == squeue::Backend::kVl ? &m_.cluster() : nullptr,
-                f_.backend() == squeue::Backend::kCaf ? &f_.caf_device()
-                                                      : nullptr);
-    sup->register_series(*tl);
-  }
-  if (obs && obs->tracer) {
-    m_.eq().set_trace(&obs->tracer->buffer(0));
-    obs->tracer->set_process_name(0, "machine");
-  }
+  run.register_series(nullptr);
+  run.trace_nodes();
 
   const Tick t0 = m_.now();
   const std::uint64_t ev0 = m_.eq().executed();
-  if (tl) {
+  if (run.tl) {
     // Control cadence when no external sampling is requested: 2500 ticks
     // keeps the supervisor's reaction time (a few epochs) well inside one
     // bulk burst dwell.
     const Tick period = obs ? obs->sample_every : Tick{2500};
     std::function<void()> on_epoch;
-    if (sup) on_epoch = [&] { sup->on_epoch(*tl); };
-    run_sampled(m_, *tl, period, on_epoch);
+    if (run.sup) on_epoch = [&] { run.sup->on_epoch(*run.tl); };
+    run_sampled(m_, *run.tl, period, on_epoch);
   } else {
     m_.run();
   }
-  if (tl) {
-    // Final cumulative sample: the last epoch's class series equal the
-    // end-of-run ScenarioMetrics by construction (same aggregation, same
-    // source counters). Then detach — the closures dangle once cx's
-    // metrics move into the result.
-    tl->sample(m_.now());
-    tl->detach();
-  }
-  m_.eq().set_trace(nullptr);
+  run.finish();
 
   // --- collect --------------------------------------------------------------
-  EngineResult r;
-  r.scenario = spec.name;
-  r.backend = squeue::to_string(f_.backend());
-  r.seed = seed;
-  r.scale = scale;
+  EngineResult r = run.result(scale);
   r.events = m_.eq().executed() - ev0;
-  r.metrics.tenants = std::move(cx.tenants);
-  r.metrics.depths = std::move(cx.depths);
-  r.metrics.ticks = m_.now() - t0;
-  r.metrics.ns = m_.ns(r.metrics.ticks);
+  r.metrics = nd.take_metrics(m_.now() - t0);
   r.device_stats = m_.statset();
   return r;
 }
@@ -775,14 +226,10 @@ sim::SystemConfig machine_config_for(const ScenarioSpec& spec,
   // the consBuf and the fetch-retry traffic starves injection into a
   // livelock. Cap at 4 SQIs per device; queue descriptors round-robin
   // across devices, so consecutive channels land on distinct VLRDs.
-  const int payload_sqis =
-      (spec.topology == Topology::kFanOut || spec.topology == Topology::kMesh)
-          ? spec.consumers
-          : 1;
+  const std::uint32_t payload_sqis = stage_channels(spec);
   if (backend == squeue::Backend::kVl && payload_sqis > 4)
-    cfg.vlrd.num_devices = std::min<std::uint32_t>(
-        (static_cast<std::uint32_t>(payload_sqis) + 3) / 4,
-        1u << vlrd::kVlrdIdBits);
+    cfg.vlrd.num_devices = std::min<std::uint32_t>((payload_sqis + 3) / 4,
+                                                   1u << vlrd::kVlrdIdBits);
 
   // Summarize the channel graph into a ChannelDemand and let the one
   // sizing policy (runtime::size_quotas — shared with workloads::run and
@@ -813,14 +260,11 @@ runtime::ChannelDemand channel_demand_for(const ScenarioSpec& spec,
   // per-SQI quota keeps total demand below capacity so chains drain.
   const bool has_relay_cycle =
       spec.topology == Topology::kPipeline || spec.closed_loop;
+  const auto stages = static_cast<std::uint32_t>(std::max(spec.stages, 1));
   if (backend == squeue::Backend::kVl && has_relay_cycle) {
-    std::uint32_t channels =
-        spec.topology == Topology::kPipeline ? static_cast<std::uint32_t>(
-                                                   std::max(spec.stages, 1))
-        : (spec.topology == Topology::kFanOut ||
-           spec.topology == Topology::kMesh)
-            ? static_cast<std::uint32_t>(std::max(spec.consumers, 1))
-            : 1u;
+    std::uint32_t channels = spec.topology == Topology::kPipeline
+                                 ? stages
+                                 : stage_channels(spec);
     if (spec.closed_loop)
       channels += static_cast<std::uint32_t>(std::max(spec.producers, 0));
     d.relay_channels = channels;
@@ -848,16 +292,11 @@ runtime::ChannelDemand channel_demand_for(const ScenarioSpec& spec,
     for (const auto& t : spec.tenants)
       present[static_cast<std::size_t>(t.qos)] = true;
     runtime::base_weights(d, present);
-    if (backend == squeue::Backend::kVl) {
-      if (spec.topology == Topology::kPipeline)
-        d.payload_sqis = static_cast<std::uint32_t>(std::max(spec.stages, 1));
-      else if (spec.topology == Topology::kFanOut ||
-               spec.topology == Topology::kMesh)
-        d.payload_sqis =
-            (static_cast<std::uint32_t>(std::max(spec.consumers, 1)) +
-             cfg.vlrd.num_devices - 1) /
-            cfg.vlrd.num_devices;
-    }
+    if (backend == squeue::Backend::kVl)
+      d.payload_sqis = spec.topology == Topology::kPipeline
+                           ? stages
+                           : (stage_channels(spec) + cfg.vlrd.num_devices - 1) /
+                                 cfg.vlrd.num_devices;
   }
   return d;
 }

@@ -1,13 +1,21 @@
 #pragma once
-// The traffic engine: instantiates a ScenarioSpec over a ChannelFactory,
-// spawns producer / relay / consumer SimThreads, drives open- or
-// closed-loop load, and collects per-tenant latency + queue-depth metrics.
+// The classic traffic engine: instantiates a ScenarioSpec over a
+// ChannelFactory on one machine, drives open- or closed-loop load, and
+// collects per-tenant latency + queue-depth metrics.
+//
+// The engine is a thin driver over the node actor set in traffic/node.hpp
+// (the sharded mesh, traffic/sharded_engine.hpp, drives S copies of the
+// same node): it opens the node's stages, places producer / worker /
+// coordinator threads, schedules lifecycle quota re-carves, and steps the
+// machine, sampling the timeline at sample_every-tick boundaries.
 //
 // Message framing: word 0 of every payload message carries
-//   [63:56] tenant id   [55:48] producer id   [47:0] send tick
+//   [63:56] tenant id   [55:48] producer id & 0xff   [47:0] send tick
 // so any final-stage consumer can attribute latency to a tenant and route
 // closed-loop acks back to the producer, with no out-of-band lookup state.
-// Remaining words are deterministic filler to the tenant's msg_words.
+// validate() therefore caps a spec at 255 tenants (0xff marks a pill) and a
+// closed loop at 256 producers. Remaining words are deterministic filler to
+// the tenant's msg_words.
 //
 // Termination uses pilot pills: when the last producer finishes, a
 // coordinator thread enqueues one poison pill per first-stage consumer;

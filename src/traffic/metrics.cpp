@@ -217,6 +217,12 @@ std::vector<std::string> tenant_row(const TenantMetrics& t, double ns) {
                      t.slo_p99 ? fmt_double(t.slo_attained_pct()) : "-");
 }
 
+std::vector<std::string> class_row(const ClassAgg& c, double ns,
+                                   const std::string& qos_label) {
+  return metrics_row(c.agg, ns, qos_label, 0,
+                     c.slo_delivered ? fmt_double(c.slo_attained_pct()) : "-");
+}
+
 }  // namespace
 
 std::vector<std::vector<std::string>> ScenarioMetrics::csv_rows() const {
@@ -230,9 +236,8 @@ std::vector<std::vector<std::string>> ScenarioMetrics::csv_rows() const {
   // Per-class aggregate rows once the scenario actually mixes classes.
   if (distinct_classes() > 1)
     for (const auto& c : by_class())
-      rows.push_back(metrics_row(
-          c.agg, ns, std::string("class:") + to_string(c.cls), 0,
-          c.slo_delivered ? fmt_double(c.slo_attained_pct()) : "-"));
+      rows.push_back(
+          class_row(c, ns, std::string("class:") + to_string(c.cls)));
   if (tenants.size() > 1)
     rows.push_back(metrics_row(all, ns, "-", 0, "-"));
   return rows;
@@ -240,31 +245,18 @@ std::vector<std::vector<std::string>> ScenarioMetrics::csv_rows() const {
 
 namespace {
 
-/// One tenant-shaped JSON object (tenants and class aggregates share it).
-std::string metrics_json_obj(const TenantMetrics& t, double ns,
-                             const std::string& label,
-                             const std::string& qos_label, Tick slo_p99,
-                             double slo_att_pct, bool has_slo) {
-  std::string o = "{\"name\": \"" + label + "\", \"qos\": \"" + qos_label +
-                  "\", \"slo_p99\": " + std::to_string(slo_p99);
-  o += ", \"slo_att_pct\": ";
-  o += has_slo ? fmt_double(slo_att_pct) : std::string("null");
-  o += ", \"generated\": " + std::to_string(t.generated);
-  o += ", \"sent\": " + std::to_string(t.sent);
-  o += ", \"delivered\": " + std::to_string(t.delivered);
-  o += ", \"dropped\": " + std::to_string(t.dropped);
-  o += ", \"blocked_ticks\": " + std::to_string(t.blocked_ticks);
-  o += ", \"lat_p50\": " + std::to_string(t.latency.percentile(50));
-  o += ", \"lat_p95\": " + std::to_string(t.latency.percentile(95));
-  o += ", \"lat_p99\": " + std::to_string(t.latency.percentile(99));
-  o += ", \"lat_p999\": " + std::to_string(t.latency.percentile(99.9));
-  o += ", \"lat_max\": " + std::to_string(t.latency.max());
-  o += ", \"lat_mean\": " + fmt_double(t.latency.mean());
-  const double secs = ns * 1e-9;
-  const double rate =
-      secs > 0.0 ? static_cast<double>(t.delivered) / secs / 1e6 : 0.0;
-  o += ", \"mmsgs_per_s\": " + fmt_double(rate) + "}";
-  return o;
+/// One tenant-shaped JSON object (tenants and class aggregates share it):
+/// a csv_rows() row keyed by csv_header(), with the label as "name", the
+/// two label columns quoted, and "-" (no SLO) as null.
+std::string metrics_json_obj(const std::vector<std::string>& row) {
+  const std::vector<std::string> keys = ScenarioMetrics::csv_header();
+  std::string o = "{";
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    const std::string& v = row[i];
+    o += (i ? ", \"" : "\"") + (i ? keys[i] : std::string("name")) + "\": ";
+    o += i < 2 ? "\"" + v + "\"" : v == "-" ? std::string("null") : v;
+  }
+  return o + "}";
 }
 
 }  // namespace
@@ -276,23 +268,15 @@ std::string ScenarioMetrics::json() const {
   out += ",\n  \"delivered\": " + std::to_string(total_delivered());
   out += ",\n  \"dropped\": " + std::to_string(total_dropped());
   out += ",\n  \"tenants\": [\n";
-  for (std::size_t i = 0; i < tenants.size(); ++i) {
-    const TenantMetrics& t = tenants[i];
-    if (i) out += ",\n";
-    out += "    " + metrics_json_obj(t, ns, t.tenant, to_string(t.qos),
-                                     t.slo_p99, t.slo_attained_pct(),
-                                     t.slo_p99 != 0);
-  }
+  for (std::size_t i = 0; i < tenants.size(); ++i)
+    out += (i ? ",\n    " : "    ") +
+           metrics_json_obj(tenant_row(tenants[i], ns));
   out += "\n  ],\n  \"classes\": [\n";
   const auto classes = by_class();
-  for (std::size_t i = 0; i < classes.size(); ++i) {
-    const ClassAgg& c = classes[i];
-    if (i) out += ",\n";
-    out += "    " + metrics_json_obj(c.agg, ns, c.agg.tenant,
-                                     to_string(c.cls), 0,
-                                     c.slo_attained_pct(),
-                                     c.slo_delivered != 0);
-  }
+  for (std::size_t i = 0; i < classes.size(); ++i)
+    out += (i ? ",\n    " : "    ") +
+           metrics_json_obj(
+               class_row(classes[i], ns, to_string(classes[i].cls)));
   out += "\n  ]\n}\n";
   return out;
 }

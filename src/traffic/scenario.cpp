@@ -22,6 +22,11 @@ std::string validate(const ScenarioSpec& s) {
   if (s.tenants.empty()) return "scenario has no tenants";
   if (s.producers < static_cast<int>(s.tenants.size()))
     return "fewer producers than tenants (every tenant needs one)";
+  // Word 0's 8-bit tenant field reserves 0xff for termination pills, and
+  // closed-loop acks route back on the 8-bit producer field.
+  if (s.tenants.size() > 255) return "more than 255 tenants";
+  if (s.closed_loop && s.producers > 256)
+    return "closed loop supports at most 256 producers";
   if (s.topology == Topology::kPipeline) {
     if (s.stages < 2) return "pipeline needs stages >= 2";
   } else if (s.stages != 1) {
@@ -113,21 +118,14 @@ std::vector<ScenarioSpec> build_registry() {
     s.consumers = 1;
     s.capacity_hint = 4096;
     s.consume_compute = 40;
-    TenantSpec burst;
-    burst.name = "burst";
-    burst.share = 0.5;
-    burst.arrival = ArrivalSpec::bursty(/*burst_gap=*/20, /*idle_gap=*/2000,
+    s.tenants = {
+        {.name = "burst", .share = 0.5,
+         .arrival = ArrivalSpec::bursty(/*burst_gap=*/20, /*idle_gap=*/2000,
                                         /*burst_dwell=*/1500,
-                                        /*idle_dwell=*/3000);
-    burst.msg_words = 4;
-    burst.messages_per_producer = 150;
-    TenantSpec steady;
-    steady.name = "steady";
-    steady.share = 0.5;
-    steady.arrival = ArrivalSpec::poisson(150);
-    steady.msg_words = 2;
-    steady.messages_per_producer = 150;
-    s.tenants = {burst, steady};
+                                        /*idle_dwell=*/3000),
+         .msg_words = 4, .messages_per_producer = 150},
+        {.name = "steady", .share = 0.5, .arrival = ArrivalSpec::poisson(150),
+         .msg_words = 2, .messages_per_producer = 150}};
     reg.push_back(std::move(s));
   }
 
@@ -139,13 +137,11 @@ std::vector<ScenarioSpec> build_registry() {
     s.topology = Topology::kFanOut;
     s.producers = 2;
     s.consumers = 4;
-    TenantSpec web;
-    web.name = "web";
-    web.arrival = ArrivalSpec::diurnal(/*gap=*/60, /*amplitude=*/0.9,
-                                       /*cycle=*/20000);
-    web.msg_words = 3;
-    web.messages_per_producer = 250;
-    s.tenants = {web};
+    s.tenants = {
+        {.name = "web",
+         .arrival = ArrivalSpec::diurnal(/*gap=*/60, /*amplitude=*/0.9,
+                                         /*cycle=*/20000),
+         .msg_words = 3, .messages_per_producer = 250}};
     reg.push_back(std::move(s));
   }
 
@@ -159,23 +155,13 @@ std::vector<ScenarioSpec> build_registry() {
     s.producers = 6;
     s.consumers = 3;
     s.consume_compute = 15;
-    TenantSpec gold, silver, bronze;
-    gold.name = "gold";
-    gold.share = 0.5;
-    gold.arrival = ArrivalSpec::poisson(80);
-    gold.msg_words = 2;
-    gold.messages_per_producer = 120;
-    silver.name = "silver";
-    silver.share = 0.33;
-    silver.arrival = ArrivalSpec::poisson(160);
-    silver.msg_words = 4;
-    silver.messages_per_producer = 120;
-    bronze.name = "bronze";
-    bronze.share = 0.17;
-    bronze.arrival = ArrivalSpec::poisson(320);
-    bronze.msg_words = 7;
-    bronze.messages_per_producer = 120;
-    s.tenants = {gold, silver, bronze};
+    s.tenants = {
+        {.name = "gold", .share = 0.5, .arrival = ArrivalSpec::poisson(80),
+         .msg_words = 2, .messages_per_producer = 120},
+        {.name = "silver", .share = 0.33, .arrival = ArrivalSpec::poisson(160),
+         .msg_words = 4, .messages_per_producer = 120},
+        {.name = "bronze", .share = 0.17, .arrival = ArrivalSpec::poisson(320),
+         .msg_words = 7, .messages_per_producer = 120}};
     reg.push_back(std::move(s));
   }
 
@@ -190,12 +176,9 @@ std::vector<ScenarioSpec> build_registry() {
     s.stages = 4;
     s.produce_compute = 5;
     s.consume_compute = 10;
-    TenantSpec feed;
-    feed.name = "feed";
-    feed.arrival = ArrivalSpec::deterministic(120);
-    feed.msg_words = 5;
-    feed.messages_per_producer = 150;
-    s.tenants = {feed};
+    s.tenants = {
+        {.name = "feed", .arrival = ArrivalSpec::deterministic(120),
+         .msg_words = 5, .messages_per_producer = 150}};
     reg.push_back(std::move(s));
   }
 
@@ -211,11 +194,9 @@ std::vector<ScenarioSpec> build_registry() {
     s.closed_loop = true;
     s.window = 4;
     s.consume_compute = 30;
-    TenantSpec rpc;
-    rpc.name = "rpc";
-    rpc.arrival = ArrivalSpec::poisson(50);
-    rpc.messages_per_producer = 150;
-    s.tenants = {rpc};
+    s.tenants = {
+        {.name = "rpc", .arrival = ArrivalSpec::poisson(50),
+         .messages_per_producer = 150}};
     reg.push_back(std::move(s));
   }
 
@@ -231,15 +212,12 @@ std::vector<ScenarioSpec> build_registry() {
     s.consumers = 1;
     s.capacity_hint = 4096;
     s.consume_compute = 120;
-    TenantSpec flood;
-    flood.name = "flood";
-    flood.arrival = ArrivalSpec::bursty(/*burst_gap=*/10, /*idle_gap=*/500,
+    s.tenants = {
+        {.name = "flood",
+         .arrival = ArrivalSpec::bursty(/*burst_gap=*/10, /*idle_gap=*/500,
                                         /*burst_dwell=*/4000,
-                                        /*idle_dwell=*/1000);
-    flood.msg_words = 2;
-    flood.messages_per_producer = 120;
-    flood.drop_depth = 48;
-    s.tenants = {flood};
+                                        /*idle_dwell=*/1000),
+         .msg_words = 2, .messages_per_producer = 120, .drop_depth = 48}};
     reg.push_back(std::move(s));
   }
 
@@ -258,34 +236,21 @@ std::vector<ScenarioSpec> build_registry() {
     s.capacity_hint = 4096;
     s.consume_compute = 40;
     s.qos = true;
-    TenantSpec rt;
-    rt.name = "rt";
-    rt.qos = QosClass::kLatency;
-    rt.share = 0.25;
-    rt.arrival = ArrivalSpec::poisson(400);
-    rt.msg_words = 2;
-    rt.messages_per_producer = 150;
-    // Attainable with QoS enforced on both hardware backends (p99 ~1.4k on
-    // CAF, ~9k on VL across seeds) and violated on VL without it (~10.5k).
-    rt.slo_p99 = 10000;
-    TenantSpec web;
-    web.name = "web";
-    web.qos = QosClass::kStandard;
-    web.share = 0.25;
-    web.arrival = ArrivalSpec::poisson(250);
-    web.msg_words = 2;
-    web.messages_per_producer = 150;
-    web.slo_p99 = 20000;
-    TenantSpec bulk;
-    bulk.name = "bulk";
-    bulk.qos = QosClass::kBulk;
-    bulk.share = 0.5;
-    bulk.arrival = ArrivalSpec::bursty(/*burst_gap=*/15, /*idle_gap=*/1500,
-                                       /*burst_dwell=*/2500,
-                                       /*idle_dwell=*/1500);
-    bulk.msg_words = 4;
-    bulk.messages_per_producer = 150;
-    s.tenants = {rt, web, bulk};
+    s.tenants = {
+        // rt's SLO is attainable with QoS enforced on both hardware backends
+        // (p99 ~1.4k on CAF, ~9k on VL across seeds) and violated on VL
+        // without it (~10.5k).
+        {.name = "rt", .share = 0.25, .arrival = ArrivalSpec::poisson(400),
+         .msg_words = 2, .messages_per_producer = 150,
+         .qos = QosClass::kLatency, .slo_p99 = 10000},
+        {.name = "web", .share = 0.25, .arrival = ArrivalSpec::poisson(250),
+         .msg_words = 2, .messages_per_producer = 150,
+         .qos = QosClass::kStandard, .slo_p99 = 20000},
+        {.name = "bulk", .share = 0.5,
+         .arrival = ArrivalSpec::bursty(/*burst_gap=*/15, /*idle_gap=*/1500,
+                                        /*burst_dwell=*/2500,
+                                        /*idle_dwell=*/1500),
+         .msg_words = 4, .messages_per_producer = 150, .qos = QosClass::kBulk}};
     reg.push_back(std::move(s));
   }
 
@@ -306,33 +271,19 @@ std::vector<ScenarioSpec> build_registry() {
     s.consume_compute = 90;
     s.qos = true;
     s.supervisor = true;
-    TenantSpec rt;
-    rt.name = "rt";
-    rt.qos = QosClass::kLatency;
-    rt.share = 0.25;
-    rt.arrival = ArrivalSpec::poisson(400);
-    rt.msg_words = 2;
-    rt.messages_per_producer = 500;
-    rt.slo_p99 = 4000;
-    TenantSpec web;
-    web.name = "web";
-    web.qos = QosClass::kStandard;
-    web.share = 0.25;
-    web.arrival = ArrivalSpec::poisson(250);
-    web.msg_words = 2;
-    web.messages_per_producer = 600;
-    web.slo_p99 = 20000;
-    TenantSpec bulk;
-    bulk.name = "bulk";
-    bulk.qos = QosClass::kBulk;
-    bulk.share = 0.5;
-    bulk.arrival = ArrivalSpec::bursty(/*burst_gap=*/5, /*idle_gap=*/400,
-                                       /*burst_dwell=*/6000,
-                                       /*idle_dwell=*/800);
-    bulk.msg_words = 7;
-    bulk.batch = 16;
-    bulk.messages_per_producer = 250;
-    s.tenants = {rt, web, bulk};
+    s.tenants = {
+        {.name = "rt", .share = 0.25, .arrival = ArrivalSpec::poisson(400),
+         .msg_words = 2, .messages_per_producer = 500,
+         .qos = QosClass::kLatency, .slo_p99 = 4000},
+        {.name = "web", .share = 0.25, .arrival = ArrivalSpec::poisson(250),
+         .msg_words = 2, .messages_per_producer = 600,
+         .qos = QosClass::kStandard, .slo_p99 = 20000},
+        {.name = "bulk", .share = 0.5,
+         .arrival = ArrivalSpec::bursty(/*burst_gap=*/5, /*idle_gap=*/400,
+                                        /*burst_dwell=*/6000,
+                                        /*idle_dwell=*/800),
+         .msg_words = 7, .messages_per_producer = 250, .batch = 16,
+         .qos = QosClass::kBulk}};
     reg.push_back(std::move(s));
   }
 
@@ -349,23 +300,14 @@ std::vector<ScenarioSpec> build_registry() {
     s.consumers = 3;
     s.consume_compute = 25;
     s.qos = true;
-    TenantSpec api;
-    api.name = "api";
-    api.qos = QosClass::kLatency;
-    api.share = 0.34;
-    api.arrival = ArrivalSpec::diurnal(/*gap=*/150, /*amplitude=*/0.8,
-                                       /*cycle=*/20000);
-    api.msg_words = 2;
-    api.messages_per_producer = 150;
-    api.slo_p99 = 8000;
-    TenantSpec batch;
-    batch.name = "batch";
-    batch.qos = QosClass::kBulk;
-    batch.share = 0.66;
-    batch.arrival = ArrivalSpec::poisson(60);
-    batch.msg_words = 6;
-    batch.messages_per_producer = 200;
-    s.tenants = {api, batch};
+    s.tenants = {
+        {.name = "api", .share = 0.34,
+         .arrival = ArrivalSpec::diurnal(/*gap=*/150, /*amplitude=*/0.8,
+                                         /*cycle=*/20000),
+         .msg_words = 2, .messages_per_producer = 150,
+         .qos = QosClass::kLatency, .slo_p99 = 8000},
+        {.name = "batch", .share = 0.66, .arrival = ArrivalSpec::poisson(60),
+         .msg_words = 6, .messages_per_producer = 200, .qos = QosClass::kBulk}};
     reg.push_back(std::move(s));
   }
 
@@ -390,35 +332,21 @@ std::vector<ScenarioSpec> build_registry() {
     s.sharding.messages_total = 32768;
     s.sharding.link_latency = 512;
     s.sharding.link_window = 4096;
-    TenantSpec web;
-    web.name = "web";
-    web.qos = QosClass::kLatency;
-    web.share = 0.4;
-    web.arrival = ArrivalSpec::diurnal(/*gap=*/40, /*amplitude=*/0.8,
-                                       /*cycle=*/40000);
-    web.msg_words = 2;
-    web.messages_per_producer = 20;
-    web.batch = 8;
-    web.slo_p99 = 20000;
-    TenantSpec api;
-    api.name = "api";
-    api.qos = QosClass::kStandard;
-    api.share = 0.3;
-    api.arrival = ArrivalSpec::poisson(60);
-    api.msg_words = 3;
-    api.messages_per_producer = 20;
-    api.batch = 8;
-    TenantSpec bulk;
-    bulk.name = "bulk";
-    bulk.qos = QosClass::kBulk;
-    bulk.share = 0.3;
-    bulk.arrival = ArrivalSpec::bursty(/*burst_gap=*/20, /*idle_gap=*/2000,
-                                       /*burst_dwell=*/3000,
-                                       /*idle_dwell=*/2000);
-    bulk.msg_words = 5;
-    bulk.messages_per_producer = 20;
-    bulk.batch = 8;
-    s.tenants = {web, api, bulk};
+    s.tenants = {
+        {.name = "web", .share = 0.4,
+         .arrival = ArrivalSpec::diurnal(/*gap=*/40, /*amplitude=*/0.8,
+                                         /*cycle=*/40000),
+         .msg_words = 2, .messages_per_producer = 20, .batch = 8,
+         .qos = QosClass::kLatency, .slo_p99 = 20000},
+        {.name = "api", .share = 0.3, .arrival = ArrivalSpec::poisson(60),
+         .msg_words = 3, .messages_per_producer = 20, .batch = 8,
+         .qos = QosClass::kStandard},
+        {.name = "bulk", .share = 0.3,
+         .arrival = ArrivalSpec::bursty(/*burst_gap=*/20, /*idle_gap=*/2000,
+                                        /*burst_dwell=*/3000,
+                                        /*idle_dwell=*/2000),
+         .msg_words = 5, .messages_per_producer = 20, .batch = 8,
+         .qos = QosClass::kBulk}};
     reg.push_back(std::move(s));
   }
 

@@ -2,53 +2,23 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "fault/plane.hpp"
-#include "replay/trace.hpp"
-#include "runtime/qos_supervisor.hpp"
 #include "sim/sharded.hpp"
-#include "sim/task.hpp"
+#include "traffic/node.hpp"
 #include "traffic/shard_router.hpp"
 
 namespace vl::traffic {
 
 namespace {
 
-using squeue::Channel;
 using squeue::Msg;
 using sim::Co;
 using sim::SimThread;
 
-constexpr std::uint64_t kTickMask = (std::uint64_t{1} << 48) - 1;
-constexpr std::uint64_t kPillTenant = 0xff;
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
-constexpr Tick kWindowBackoff = 32;  ///< Retry gap when a link is full.
 constexpr std::uint64_t kRebalancePeriod = 64;  ///< Barriers between checks.
-
-std::uint64_t split_seed(std::uint64_t seed, std::uint64_t salt) {
-  return seed ^ (0x9e3779b97f4a7c15ull * (salt + 1));
-}
-
-/// Same framing as the classic engine, with the class index in the tenant
-/// byte: logical tenants are a population of ids, so metrics aggregate per
-/// service class rather than per id.
-std::uint64_t stamp(int cls, int pid, Tick now) {
-  return (static_cast<std::uint64_t>(cls) << 56) |
-         (static_cast<std::uint64_t>(pid & 0xff) << 48) | (now & kTickMask);
-}
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 /// A message in flight on an inter-shard link, bound for channel `ch` of
 /// the destination shard.
@@ -57,240 +27,65 @@ struct InMsg {
   int ch;
 };
 
-struct ShardCtx {
-  int id = 0;
+/// One shard: a complete node on its own machine, plus its link landing
+/// zone — cross-shard deliveries append to `ingress` (on this shard's event
+/// queue) and the relay thread injects them into the node's channels.
+struct Shard {
   std::unique_ptr<runtime::Machine> m;
   std::unique_ptr<squeue::ChannelFactory> f;
-  std::vector<std::unique_ptr<Channel>> channels;
-
-  /// Link landing zone: cross-shard deliveries append here (on this
-  /// shard's event queue) and the relay thread injects them into channels.
+  std::unique_ptr<node::Node> nd;
   std::deque<InMsg> ingress;
   std::unique_ptr<sim::WaitQueue> ingress_wq;
   bool stop = false;  ///< All producers (mesh-wide) done; relay may poison.
-
-  int producers_remaining = 0;
-  int workers_remaining = 0;
-  bool all_done = false;  ///< Final worker exited; sampler unwinds.
-
-  std::vector<TenantMetrics> classes;  ///< One per spec tenant (class).
-  std::vector<DepthSeries> depths;
-  std::uint64_t digest = kFnvBasis;  ///< (tick, stamp) event-stream fold.
-  std::uint64_t cross_in = 0;        ///< Messages that arrived over links.
-  std::uint64_t delivered = 0;
-
-  /// Payload messages fed into each channel (local producer flushes +
-  /// relay injections). Final before the relay poisons, so each pill can
-  /// carry its channel's exact drain target.
-  std::vector<std::uint64_t> chan_sent;
 };
 
-struct Mesh {
-  const ScenarioSpec& spec;
-  squeue::Backend backend;
-  std::uint64_t seed;
-  std::uint64_t population;
-  sim::ShardedSim& ssim;
-  ShardRouter& router;
-  std::vector<std::unique_ptr<ShardCtx>>& shards;
+/// The mesh's routing: each message draws a destination tenant from the
+/// population; the ring decides which shard serves it and the tenant hash
+/// which of that shard's channels. A replayed record's dst is the logical
+/// tenant, re-resolved here, so a replay under a different shard count (or
+/// with rebalancing) still delivers the same per-class message set.
+class MeshRouting final : public node::Routing {
+ public:
+  MeshRouting(std::uint64_t population, ShardRouter& ring,
+              sim::ShardedSim& ssim,
+              std::vector<std::unique_ptr<Shard>>& shards)
+      : Routing(0x5000, 0x6000, /*fate_first=*/true),
+        population_(population),
+        ring_(ring),
+        ssim_(ssim),
+        shards_(shards) {}
 
-  /// Fault plane (null on clean runs); `chan_faults` pre-gates the
-  /// per-message loss/dup hook to software backends.
-  fault::FaultPlane* fp = nullptr;
-  bool chan_faults = false;
-
-  /// Send-boundary trace tap (null unless recording). Per-gpid streams are
-  /// preallocated by begin(), so threaded shards appending to their own
-  /// producers' streams never race.
-  replay::TraceRecorder* rec = nullptr;
-  /// Replay source: producers re-offer the trace's per-gpid streams; the
-  /// recorded dst is the *logical destination tenant*, so the router
-  /// re-resolves shard/channel placement at replay time. Null on live runs.
-  const replay::Trace* trace = nullptr;
-
-  std::uint8_t payload_words(const TenantSpec& t) const {
-    return backend == squeue::Backend::kCaf ? std::uint8_t{1} : t.msg_words;
+  std::uint64_t draw(Xoshiro256& rng, std::uint64_t) const override {
+    return rng.below(population_);
   }
-  /// Termination pill; the stamp bits [47:0] carry the channel's payload
-  /// count so the worker drains to the count rather than trusting arrival
-  /// order (VL's injection-retry recovery can surface the pill ahead of a
-  /// straggling payload line).
-  Msg make_pill(std::uint64_t count) const {
-    Msg p;
-    p.n = 1;
-    p.w[0] = (kPillTenant << 56) | (count & kTickMask);
-    return p;
+  node::Dest place(std::uint64_t key) const override {
+    const std::uint64_t dest = key % population_;
+    const int dst = ring_.shard_for(dest);
+    const auto nch = static_cast<std::uint64_t>(
+        shards_[static_cast<std::size_t>(dst)]
+            ->nd->stages.front()
+            .channels.size());
+    return {dst, static_cast<int>(ShardRouter::hash(dest) % nch), dest};
   }
+  bool can_post(int from, int to) override { return ssim_.can_post(from, to); }
+  /// Hand the message to the destination's ingress at now + link latency.
+  void post(int from, const node::Dest& d, const Msg& msg) override {
+    Shard* s = shards_[static_cast<std::size_t>(d.shard)].get();
+    ssim_.post(from, d.shard, [s, msg, ch = d.ch] {
+      node::Node& nd = *s->nd;
+      nd.digest = node::fnv1a(node::fnv1a(nd.digest, nd.m.now()), msg.w[0]);
+      ++nd.cross_in;
+      s->ingress.push_back(InMsg{msg, ch});
+      s->ingress_wq->wake_one();
+    });
+  }
+
+ private:
+  std::uint64_t population_;
+  ShardRouter& ring_;
+  sim::ShardedSim& ssim_;
+  std::vector<std::unique_ptr<Shard>>& shards_;
 };
-
-/// One producer thread on shard `home`. Each message draws a destination
-/// tenant from the population; the router decides which shard (and the
-/// tenant hash which channel) serves it. Local messages accumulate into
-/// per-channel sub-batches flushed at lap end; remote messages post onto
-/// the inter-shard link as they are generated (the destination relay does
-/// the batched injection).
-Co<void> producer(Mesh& mesh, ShardCtx& cx, SimThread t, int cls, int gpid,
-                  std::uint64_t target) {
-  const TenantSpec& ts = mesh.spec.tenants[static_cast<std::size_t>(cls)];
-  auto arrival = make_arrival(ts.arrival, split_seed(mesh.seed, 0x5000 + gpid));
-  Xoshiro256 dest_rng(split_seed(mesh.seed, 0x6000 + gpid));
-  auto& eq = cx.m->eq();
-  auto& tm = cx.classes[static_cast<std::size_t>(cls)];
-  const std::uint8_t words = mesh.payload_words(ts);
-  const std::uint64_t batch = std::max<std::uint32_t>(ts.batch, 1);
-  const int home = cx.id;
-
-  std::vector<std::vector<Msg>> sub(cx.channels.size());
-  for (std::uint64_t i = 0; i < target;) {
-    // One lap: accumulate up to `batch` messages, each paced by the
-    // arrival process and routed individually — local ones into
-    // per-channel sub-batches, remote ones straight onto their link.
-    for (std::uint64_t b = 0; b < batch && i < target; ++b, ++i) {
-      Tick gap = arrival->next_gap(eq.now());
-      if (mesh.fp) gap = mesh.fp->scale_gap(home, ts.qos, eq.now(), gap);
-      if (gap) co_await sim::Delay(eq, gap);
-      if (mesh.spec.produce_compute)
-        co_await t.compute(mesh.spec.produce_compute);
-
-      ++tm.generated;
-      // Channel-level fault fate, decided before the message joins a
-      // sub-batch or a link — what was dropped is never counted as sent,
-      // so the pill drain counts stay exact.
-      int copies = 1;
-      if (mesh.chan_faults) {
-        copies = mesh.fp->chan_copies(home, eq.now());
-        if (copies == 0) {
-          ++tm.dropped;
-          continue;
-        }
-      }
-      const std::uint64_t dest = dest_rng.below(mesh.population);
-      const int dst = mesh.router.shard_for(dest);
-      const int nch_dst =
-          static_cast<int>(mesh.shards[static_cast<std::size_t>(dst)]
-                               ->channels.size());
-      const int ch = static_cast<int>(ShardRouter::hash(dest) %
-                                      static_cast<std::uint64_t>(nch_dst));
-      Msg msg;
-      msg.n = words;
-      msg.qos = ts.qos;
-      msg.w[0] = stamp(cls, gpid, eq.now());
-      for (std::uint8_t w = 1; w < words; ++w)
-        msg.w[w] = (static_cast<std::uint64_t>(cls) << 32) | i;
-      if (mesh.rec)
-        for (int k = 0; k < copies; ++k)
-          mesh.rec->on_send(static_cast<std::uint16_t>(gpid),
-                            static_cast<std::uint16_t>(cls), msg.qos, msg.n,
-                            dest, eq.now());
-
-      if (dst == home) {
-        for (int k = 0; k < copies; ++k)
-          sub[static_cast<std::size_t>(ch)].push_back(msg);
-        continue;
-      }
-      // Remote: respect the link's in-flight window, then hand the
-      // message to the destination's ingress at now + link latency.
-      for (int k = 0; k < copies; ++k) {
-        while (!mesh.ssim.can_post(home, dst)) {
-          co_await sim::Delay(eq, kWindowBackoff);
-          tm.blocked_ticks += kWindowBackoff;
-        }
-        ShardCtx* d = mesh.shards[static_cast<std::size_t>(dst)].get();
-        mesh.ssim.post(home, dst, [d, msg, ch] {
-          d->digest = fnv1a(d->digest, d->m->now());
-          d->digest = fnv1a(d->digest, msg.w[0]);
-          ++d->cross_in;
-          d->ingress.push_back(InMsg{msg, ch});
-          d->ingress_wq->wake_one();
-        });
-        ++tm.sent;
-      }
-    }
-    // Flush the lap's local sub-batches, ascending channel order.
-    for (std::size_t c = 0; c < sub.size(); ++c) {
-      if (sub[c].empty()) continue;
-      const Tick send_start = eq.now();
-      co_await cx.channels[c]->send_many(t, sub[c]);
-      tm.blocked_ticks += eq.now() - send_start;
-      tm.sent += sub[c].size();
-      cx.chan_sent[c] += sub[c].size();
-      sub[c].clear();
-    }
-  }
-  --cx.producers_remaining;  // the barrier hook polls this
-}
-
-/// Replay-mode producer: re-offers the trace's per-gpid stream. Pacing
-/// reconstructs each record's absolute generation tick; the recorded dst
-/// is the logical destination tenant, re-resolved through the router, so
-/// a replay under a different shard count (or with rebalancing) still
-/// delivers the same per-class message set.
-Co<void> replay_producer(Mesh& mesh, ShardCtx& cx, SimThread t, int cls,
-                         int gpid) {
-  const TenantSpec& ts = mesh.spec.tenants[static_cast<std::size_t>(cls)];
-  auto& eq = cx.m->eq();
-  auto& tm = cx.classes[static_cast<std::size_t>(cls)];
-  const std::uint64_t batch = std::max<std::uint32_t>(ts.batch, 1);
-  const int home = cx.id;
-  replay::TraceArrival rep(*mesh.trace, static_cast<std::uint16_t>(gpid));
-
-  std::vector<std::vector<Msg>> sub(cx.channels.size());
-  while (!rep.done()) {
-    for (std::uint64_t b = 0; b < batch && !rep.done(); ++b) {
-      const Tick gap = rep.next_gap(eq.now());
-      if (gap) co_await sim::Delay(eq, gap);
-      const replay::TraceRecord& r0 = rep.record();
-      ++tm.generated;
-      const std::uint64_t dest = r0.dst % mesh.population;
-      const int dst = mesh.router.shard_for(dest);
-      const int nch_dst =
-          static_cast<int>(mesh.shards[static_cast<std::size_t>(dst)]
-                               ->channels.size());
-      const int ch = static_cast<int>(ShardRouter::hash(dest) %
-                                      static_cast<std::uint64_t>(nch_dst));
-      Msg msg;
-      msg.n = mesh.backend == squeue::Backend::kCaf ? std::uint8_t{1}
-                                                    : r0.words;
-      msg.qos = r0.cls;
-      msg.w[0] = stamp(cls, gpid, eq.now());
-      for (std::uint8_t w = 1; w < msg.n; ++w)
-        msg.w[w] = (static_cast<std::uint64_t>(cls) << 32) | b;
-      if (mesh.rec)  // re-recording a replay reproduces the trace
-        mesh.rec->on_send(static_cast<std::uint16_t>(gpid),
-                          static_cast<std::uint16_t>(cls), msg.qos, msg.n,
-                          dest, eq.now());
-      rep.advance();
-
-      if (dst == home) {
-        sub[static_cast<std::size_t>(ch)].push_back(msg);
-        continue;
-      }
-      while (!mesh.ssim.can_post(home, dst)) {
-        co_await sim::Delay(eq, kWindowBackoff);
-        tm.blocked_ticks += kWindowBackoff;
-      }
-      ShardCtx* d = mesh.shards[static_cast<std::size_t>(dst)].get();
-      mesh.ssim.post(home, dst, [d, msg, ch] {
-        d->digest = fnv1a(d->digest, d->m->now());
-        d->digest = fnv1a(d->digest, msg.w[0]);
-        ++d->cross_in;
-        d->ingress.push_back(InMsg{msg, ch});
-        d->ingress_wq->wake_one();
-      });
-      ++tm.sent;
-    }
-    for (std::size_t c = 0; c < sub.size(); ++c) {
-      if (sub[c].empty()) continue;
-      const Tick send_start = eq.now();
-      co_await cx.channels[c]->send_many(t, sub[c]);
-      tm.blocked_ticks += eq.now() - send_start;
-      tm.sent += sub[c].size();
-      cx.chan_sent[c] += sub[c].size();
-      sub[c].clear();
-    }
-  }
-  --cx.producers_remaining;
-}
 
 /// Per-shard link relay: drains the ingress deque into per-channel
 /// sub-batches and injects them with one send_many per channel. Once the
@@ -298,189 +93,29 @@ Co<void> replay_producer(Mesh& mesh, ShardCtx& cx, SimThread t, int cls,
 /// already scheduled, and same-tick events fire in schedule order, so the
 /// flag can never overtake payload) and the ingress is dry, it poisons
 /// each channel's sole worker.
-Co<void> relay(Mesh& mesh, ShardCtx& cx, SimThread t) {
-  std::vector<std::vector<Msg>> sub(cx.channels.size());
+Co<void> relay(Shard& sh, SimThread t) {
+  auto& channels = sh.nd->stages.front().channels;
+  std::vector<std::vector<Msg>> sub(channels.size());
   for (;;) {
-    const auto gate = cx.ingress_wq->epoch();
-    if (cx.ingress.empty()) {
-      if (cx.stop) break;
-      co_await t.park(*cx.ingress_wq, gate);
+    const auto gate = sh.ingress_wq->epoch();
+    if (sh.ingress.empty()) {
+      if (sh.stop) break;
+      co_await t.park(*sh.ingress_wq, gate);
       continue;
     }
-    while (!cx.ingress.empty()) {
-      const InMsg& im = cx.ingress.front();
+    while (!sh.ingress.empty()) {
+      const InMsg& im = sh.ingress.front();
       sub[static_cast<std::size_t>(im.ch)].push_back(im.msg);
-      cx.ingress.pop_front();
+      sh.ingress.pop_front();
     }
     for (std::size_t c = 0; c < sub.size(); ++c) {
       if (sub[c].empty()) continue;
-      co_await cx.channels[c]->send_many(t, sub[c]);
-      cx.chan_sent[c] += sub[c].size();
+      co_await channels[c].ch->send_many(t, sub[c]);
+      channels[c].fed += sub[c].size();
       sub[c].clear();
     }
   }
-  for (std::size_t c = 0; c < cx.channels.size(); ++c)
-    co_await cx.channels[c]->send(t, mesh.make_pill(cx.chan_sent[c]));
-}
-
-/// Sole consumer of one channel: batched opportunistic drain, per-class
-/// delivery accounting, digest fold per delivery.
-Co<void> worker(Mesh& mesh, ShardCtx& cx, SimThread t, int ci) {
-  Channel& ch = *cx.channels[static_cast<std::size_t>(ci)];
-  auto& eq = cx.m->eq();
-  constexpr std::size_t kWindow = 8;
-  std::vector<Msg> drained(kWindow);
-  std::uint64_t expected = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t received = 0;
-
-  while (received < expected) {
-    const std::size_t got =
-        co_await ch.recv_many(t, std::span<Msg>(drained.data(), kWindow), 1);
-    for (std::size_t k = 0; k < got; ++k) {
-      const Msg& msg = drained[k];
-      const std::uint64_t cls = msg.w[0] >> 56;
-      if (cls == kPillTenant) {
-        expected = msg.w[0] & kTickMask;  // drain target; keep going
-        continue;
-      }
-      if (mesh.spec.consume_compute)
-        co_await t.compute(mesh.spec.consume_compute);
-      auto& tm = cx.classes[static_cast<std::size_t>(cls)];
-      ++tm.delivered;
-      tm.latency.record((eq.now() - msg.w[0]) & kTickMask);
-      ++cx.delivered;
-      cx.digest = fnv1a(cx.digest, eq.now());
-      cx.digest = fnv1a(cx.digest, msg.w[0]);
-      ++received;
-    }
-  }
-  if (--cx.workers_remaining == 0) cx.all_done = true;
-}
-
-Co<void> depth_sampler(Mesh& mesh, ShardCtx& cx) {
-  for (;;) {
-    for (std::size_t c = 0; c < cx.channels.size(); ++c) {
-      auto& d = cx.depths[c];
-      d.depth.record(static_cast<double>(cx.channels[c]->depth()));
-      ++d.samples;
-    }
-    if (cx.all_done) break;
-    co_await sim::Delay(cx.m->eq(), mesh.spec.depth_sample_period);
-  }
-}
-
-/// Mesh-wide timeline series: the classic engine's per-class set folded
-/// over every shard, plus the sharded-only signals (per-shard link window
-/// stalls, cross-link ingress). Closures are evaluated only at the
-/// single-threaded barrier, so threaded stepping races on nothing.
-void register_sharded_series(obs::Timeline& tl, Mesh& mesh) {
-  auto& shards = mesh.shards;
-  tl.add_series("eq.executed", [&mesh] {
-    return static_cast<double>(mesh.ssim.executed());
-  });
-  tl.add_series("chan.depth", [&shards] {
-    std::uint64_t d = 0;
-    for (const auto& cx : shards)
-      for (const auto& ch : cx->channels) d += ch->depth();
-    return static_cast<double>(d);
-  });
-  tl.add_series("cross_shard.ingress", [&shards] {
-    std::uint64_t n = 0;
-    for (const auto& cx : shards) n += cx->cross_in;
-    return static_cast<double>(n);
-  });
-  tl.add_series("vlrd.push_quota_nacks", [&shards] {
-    std::uint64_t n = 0;
-    for (const auto& cx : shards) n += cx->m->vlrd_stats().push_quota_nacks;
-    return static_cast<double>(n);
-  });
-  tl.add_series("vlrd.fetch_nacks", [&shards] {
-    std::uint64_t n = 0;
-    for (const auto& cx : shards) n += cx->m->vlrd_stats().fetch_nacks;
-    return static_cast<double>(n);
-  });
-  if (mesh.backend == squeue::Backend::kCaf) {
-    for (std::size_t c = 0; c < kQosClasses; ++c) {
-      const auto cls = static_cast<QosClass>(c);
-      tl.add_series(std::string("caf.occupancy.") + to_string(cls),
-                    [&shards, cls] {
-                      std::uint64_t n = 0;
-                      for (const auto& cx : shards)
-                        n += cx->f->caf_device().class_occupancy(cls);
-                      return static_cast<double>(n);
-                    });
-    }
-  }
-  for (int sh = 0; sh < static_cast<int>(shards.size()); ++sh) {
-    tl.add_series("shard" + std::to_string(sh) + ".window_stalls",
-                  [&mesh, sh] {
-                    return static_cast<double>(
-                        mesh.ssim.shard_window_stalls(sh));
-                  });
-    tl.add_series("shard" + std::to_string(sh) + ".partition_stalls",
-                  [&mesh, sh] {
-                    return static_cast<double>(
-                        mesh.ssim.shard_partition_stalls(sh));
-                  });
-  }
-
-  bool present[kQosClasses] = {};
-  for (const auto& t : mesh.spec.tenants)
-    present[static_cast<std::size_t>(t.qos)] = true;
-  for (std::size_t ci = 0; ci < kQosClasses; ++ci) {
-    if (!present[ci]) continue;
-    const auto cls = static_cast<QosClass>(ci);
-    const std::string base = std::string("class.") + to_string(cls) + ".";
-    auto fold = [&shards, cls](auto&& view) {
-      double acc = 0.0;
-      for (const auto& cx : shards)
-        for (const auto& t : cx->classes)
-          if (t.qos == cls) acc += view(t);
-      return acc;
-    };
-    tl.add_series(base + "delivered", [fold] {
-      return fold([](const TenantMetrics& t) {
-        return static_cast<double>(t.delivered);
-      });
-    });
-    tl.add_series(base + "sent", [fold] {
-      return fold(
-          [](const TenantMetrics& t) { return static_cast<double>(t.sent); });
-    });
-    tl.add_series(base + "blocked_ticks", [fold] {
-      return fold([](const TenantMetrics& t) {
-        return static_cast<double>(t.blocked_ticks);
-      });
-    });
-    tl.add_series(base + "p99", [&shards, cls] {
-      LogHistogram h;
-      for (const auto& cx : shards)
-        for (const auto& t : cx->classes)
-          if (t.qos == cls) h.merge(t.latency);
-      return static_cast<double>(h.percentile(99));
-    });
-    tl.add_series(base + "slo_within", [&shards, cls] {
-      // Raw in-SLO delivery counter; the QoS supervisor windows it against
-      // `delivered` for a per-epoch attainment signal.
-      std::uint64_t within = 0;
-      for (const auto& cx : shards)
-        for (const auto& t : cx->classes)
-          if (t.qos == cls && t.slo_p99) within += t.slo_within();
-      return static_cast<double>(within);
-    });
-    tl.add_series(base + "slo_att_pct", [&shards, cls] {
-      std::uint64_t slo_delivered = 0, slo_within = 0;
-      for (const auto& cx : shards)
-        for (const auto& t : cx->classes) {
-          if (t.qos != cls || !t.slo_p99) continue;
-          slo_delivered += t.delivered;
-          slo_within += t.slo_within();
-        }
-      if (!slo_delivered) return 100.0;
-      return 100.0 * static_cast<double>(slo_within) /
-             static_cast<double>(slo_delivered);
-    });
-  }
+  co_await node::send_pills(sh.nd->stages.front(), t);
 }
 
 }  // namespace
@@ -488,9 +123,7 @@ void register_sharded_series(obs::Timeline& tl, Mesh& mesh) {
 ShardedResult run_sharded(const ScenarioSpec& raw, squeue::Backend backend,
                           std::uint64_t seed, const ShardedOptions& opts,
                           int scale) {
-  const std::string err = validate(raw);
-  if (!err.empty())
-    throw std::invalid_argument("invalid scenario '" + raw.name + "': " + err);
+  node::require_valid(raw);
   const ScenarioSpec& spec = raw;  // sharded budget scales globally, below
 
   const std::uint64_t population =
@@ -499,40 +132,29 @@ ShardedResult run_sharded(const ScenarioSpec& raw, squeue::Backend backend,
       (opts.messages ? opts.messages : spec.sharding.messages_total) *
       static_cast<std::uint64_t>(std::max(scale, 1));
   const int S = opts.shards;
-  if (S < 1) throw std::invalid_argument("shards must be >= 1");
-  if (population == 0)
-    throw std::invalid_argument("scenario '" + spec.name +
-                                "' has no sharding population");
-  if (messages_total == 0)
-    throw std::invalid_argument("scenario '" + spec.name +
-                                "' has no sharding message budget");
-  if (spec.topology != Topology::kFanOut && spec.topology != Topology::kMesh)
-    throw std::invalid_argument(
-        "sharded runs need a fan-out/mesh topology (channel per consumer)");
-  if (spec.closed_loop)
-    throw std::invalid_argument("sharded runs are open-loop only");
-  if (spec.consumers < S)
-    throw std::invalid_argument(
-        "need at least one consumer per shard (consumers >= shards)");
-  if (!spec.lifecycle.empty())
-    throw std::invalid_argument(
-        "lifecycle events (churn/reconfig) run on the classic engine only");
-  if (spec.replay) {
-    if (!spec.replay->sharded)
-      throw std::invalid_argument(
-          "replay: trace '" + spec.replay->scenario +
-          "' was recorded by the classic engine; replay it via traffic::run");
-    if (spec.replay->producers !=
-            static_cast<std::uint32_t>(spec.producers) ||
-        spec.replay->tenants != spec.tenants.size())
-      throw std::invalid_argument(
-          "replay: trace shape (producers=" +
-          std::to_string(spec.replay->producers) +
-          ", tenants=" + std::to_string(spec.replay->tenants) +
-          ") does not match scenario '" + spec.name + "'");
-  }
+  auto reject_if = [](bool bad, const std::string& why) {
+    if (bad) throw std::invalid_argument(why);
+  };
+  reject_if(S < 1, "shards must be >= 1");
+  reject_if(population == 0,
+            "scenario '" + spec.name + "' has no sharding population");
+  reject_if(messages_total == 0,
+            "scenario '" + spec.name + "' has no sharding message budget");
+  reject_if(spec.topology != Topology::kFanOut &&
+                spec.topology != Topology::kMesh,
+            "sharded runs need a fan-out/mesh topology (channel per consumer)");
+  reject_if(spec.closed_loop, "sharded runs are open-loop only");
+  reject_if(spec.consumers < S,
+            "need at least one consumer per shard (consumers >= shards)");
+  reject_if(!spec.lifecycle.empty(),
+            "lifecycle events (churn/reconfig) run on the classic engine only");
+  for (const auto& t : spec.tenants)
+    reject_if(t.drop_depth > 0, "tenant '" + t.name +
+                                    "': drop_depth shedding runs on the "
+                                    "classic engine only");
 
-  ShardRouter router(S);
+  node::Run run(spec, backend, seed, opts.obs, S, /*sharded=*/true);
+  ShardRouter ring(S);
   sim::ShardedSim ssim(spec.sharding.link_latency, opts.sim_threads);
   ssim.set_link_window(spec.sharding.link_window);
 
@@ -544,158 +166,71 @@ ShardedResult run_sharded(const ScenarioSpec& raw, squeue::Backend backend,
   for (int c = 0; c < spec.consumers; ++c)
     ++nch[static_cast<std::size_t>(c % S)];
 
-  std::vector<std::unique_ptr<ShardCtx>> shards;
-
-  // Fault plane + QoS supervisor, created before the shards so each
-  // machine is armed / attached as it is built, in shard-id order.
-  std::unique_ptr<fault::FaultPlane> plane;
-  if (!spec.faults.empty())
-    plane = std::make_unique<fault::FaultPlane>(spec.faults, S);
-  const bool want_sup = spec.supervisor && spec.qos &&
-                        (backend == squeue::Backend::kVl ||
-                         backend == squeue::Backend::kCaf);
-  std::unique_ptr<runtime::QosSupervisor> sup;
-  if (want_sup) {
-    bool present[kQosClasses] = {};
-    for (const auto& t : spec.tenants)
-      present[static_cast<std::size_t>(t.qos)] = true;
-    sup = std::make_unique<runtime::QosSupervisor>(
-        runtime::QosSupervisor::Config{}, present);
-  }
-
-  std::uint8_t frame = 1;
-  for (const auto& t : spec.tenants)
-    frame = std::max(frame, backend == squeue::Backend::kCaf
-                                ? std::uint8_t{1}
-                                : t.msg_words);
+  std::vector<std::unique_ptr<Shard>> shards;
   for (int sh = 0; sh < S; ++sh) {
-    auto cx = std::make_unique<ShardCtx>();
-    cx->id = sh;
+    auto s = std::make_unique<Shard>();
     // Each shard's hardware knobs (QoS quota carve, per-SQI splits) are
     // sized for the channels *it* hosts, exactly as a standalone node's
     // would be.
-    ScenarioSpec node = spec;
-    node.producers = std::max(np[static_cast<std::size_t>(sh)], 1);
-    node.consumers = nch[static_cast<std::size_t>(sh)];
-    cx->m = std::make_unique<runtime::Machine>(
-        machine_config_for(node, backend));
-    cx->f = std::make_unique<squeue::ChannelFactory>(*cx->m, backend);
-    if (plane) plane->arm_machine(*cx->m, sh);
-    if (sup)
-      sup->attach(cx->m->cfg(), channel_demand_for(node, backend, cx->m->cfg()),
-                  backend == squeue::Backend::kVl ? &cx->m->cluster() : nullptr,
-                  backend == squeue::Backend::kCaf ? &cx->f->caf_device()
-                                                   : nullptr);
-    for (int c = 0; c < nch[static_cast<std::size_t>(sh)]; ++c) {
-      const std::string label =
-          "sh" + std::to_string(sh) + "c" + std::to_string(c);
-      cx->channels.push_back(cx->f->make(label, spec.capacity_hint, frame));
-      DepthSeries d;
-      d.channel = label;
-      cx->depths.push_back(std::move(d));
-    }
-    cx->ingress_wq = std::make_unique<sim::WaitQueue>(cx->m->eq());
-    cx->chan_sent.assign(cx->channels.size(), 0);
-    for (const auto& t : spec.tenants) {
-      TenantMetrics tm;
-      tm.tenant = t.name;
-      tm.qos = t.qos;
-      tm.slo_p99 = t.slo_p99;
-      cx->classes.push_back(std::move(tm));
-    }
-    cx->producers_remaining = np[static_cast<std::size_t>(sh)];
-    cx->workers_remaining = nch[static_cast<std::size_t>(sh)];
-    ssim.add_shard(cx->m->eq());
-    shards.push_back(std::move(cx));
+    ScenarioSpec local = spec;
+    local.producers = std::max(np[static_cast<std::size_t>(sh)], 1);
+    local.consumers = nch[static_cast<std::size_t>(sh)];
+    s->m = std::make_unique<runtime::Machine>(
+        machine_config_for(local, backend));
+    s->f = std::make_unique<squeue::ChannelFactory>(*s->m, backend);
+    s->nd = std::make_unique<node::Node>(run, sh, *s->m, *s->f, local);
+    s->nd->add_stage("sh" + std::to_string(sh),
+                     nch[static_cast<std::size_t>(sh)], 1);
+    s->ingress_wq = std::make_unique<sim::WaitQueue>(s->m->eq());
+    s->nd->producers_remaining = np[static_cast<std::size_t>(sh)];
+    ssim.add_shard(s->m->eq());
+    shards.push_back(std::move(s));
   }
-
-  Mesh mesh{spec, backend, seed, population, ssim, router, shards};
-  mesh.fp = plane.get();
-  mesh.chan_faults = plane && plane->mutates_channels() &&
-                     (backend == squeue::Backend::kBlfq ||
-                      backend == squeue::Backend::kZmq);
-  mesh.trace = spec.replay;
-  if (opts.obs && opts.obs->recorder) {
-    mesh.rec = opts.obs->recorder;
-    mesh.rec->begin(spec.name, squeue::to_string(backend), seed,
-                    static_cast<std::uint32_t>(spec.producers),
-                    static_cast<std::uint32_t>(spec.tenants.size()),
-                    /*sharded=*/true);
-  }
+  MeshRouting routing(population, ring, ssim, shards);
+  run.routing = &routing;
 
   // --- observability hookup -------------------------------------------------
-  // A supervised run samples even without caller hooks — into a private
-  // local timeline the supervisor reads at each barrier.
-  obs::Timeline local_tl;
-  obs::Timeline* tl = opts.obs ? opts.obs->timeline : nullptr;
-  if (sup && !tl) tl = &local_tl;
-  if (tl) {
-    register_sharded_series(*tl, mesh);
-    if (plane) plane->register_series(*tl);
-    if (sup) sup->register_series(*tl);
-  }
+  run.register_series(&ssim);
   obs::TraceBuffer* barrier_tb = nullptr;
-  if (opts.obs && opts.obs->tracer) {
-    obs::Tracer& tr = *opts.obs->tracer;
-    // All buffers are created here, before any (possibly threaded)
-    // stepping: each shard's queue writes only its own buffer while that
-    // shard steps, and the barrier lane (pid = S) only between epochs.
-    for (int sh = 0; sh < S; ++sh) {
-      shards[static_cast<std::size_t>(sh)]->m->eq().set_trace(
-          &tr.buffer(static_cast<std::uint32_t>(sh)));
-      tr.set_process_name(static_cast<std::uint32_t>(sh),
-                          "shard" + std::to_string(sh));
-    }
-    ssim.set_trace(&tr.buffer(static_cast<std::uint32_t>(S)));
-    tr.set_process_name(static_cast<std::uint32_t>(S), "barrier");
-    barrier_tb = &tr.buffer(static_cast<std::uint32_t>(S));
+  // All buffers are created here, before any (possibly threaded) stepping:
+  // each shard's queue writes only its own buffer while that shard steps,
+  // and the barrier lane (pid = S) only between epochs.
+  if (obs::Tracer* tr = run.trace_nodes()) {
+    barrier_tb = &tr->buffer(static_cast<std::uint32_t>(S));
+    ssim.set_trace(barrier_tb);
+    tr->set_process_name(static_cast<std::uint32_t>(S), "barrier");
   }
 
   // Global message budget over global producer ids (largest remainder),
   // classes assigned by the same split as the classic engine — both are
   // shard-count-invariant, which is what makes delivered counts equal
   // across S.
-  const std::vector<int> split = tenant_producer_split(spec);
-  std::vector<int> cls_of(static_cast<std::size_t>(spec.producers), 0);
-  {
-    int p = 0;
-    for (std::size_t ti = 0; ti < split.size(); ++ti)
-      for (int k = 0; k < split[ti] && p < spec.producers; ++k)
-        cls_of[static_cast<std::size_t>(p++)] = static_cast<int>(ti);
-  }
+  const std::vector<int> cls_of = node::producer_tenants(spec);
   const std::uint64_t per =
       messages_total / static_cast<std::uint64_t>(spec.producers);
   const std::uint64_t rem =
       messages_total % static_cast<std::uint64_t>(spec.producers);
 
   for (int sh = 0; sh < S; ++sh) {
-    ShardCtx& cx = *shards[static_cast<std::size_t>(sh)];
-    CoreId core = 0;
-    auto next_thread = [&] {
-      const CoreId c = core;
-      core = (core + 1) % cx.m->num_cores();
-      return cx.m->thread_on(c);
-    };
-    sim::spawn(relay(mesh, cx, next_thread()));
-    for (int c = 0; c < static_cast<int>(cx.channels.size()); ++c)
-      sim::spawn(worker(mesh, cx, next_thread(), c));
+    Shard& s = *shards[static_cast<std::size_t>(sh)];
+    node::Node& nd = *s.nd;
+    sim::spawn(relay(s, nd.next_thread()));
+    for (int c = 0; c < static_cast<int>(nd.stages.front().channels.size());
+         ++c)
+      sim::spawn(node::worker(nd, nd.next_thread(), 0, c));
     for (int p = sh; p < spec.producers; p += S) {
-      if (mesh.trace) {
-        // Replay flavour: the per-gpid stream is the budget (an empty
-        // stream returns immediately and decrements the barrier count).
-        sim::spawn(replay_producer(mesh, cx, next_thread(),
-                                   cls_of[static_cast<std::size_t>(p)], p));
-        continue;
-      }
+      // On replay the per-gpid stream is the budget (an empty stream
+      // returns immediately and decrements the barrier count).
       const std::uint64_t target =
           per + (static_cast<std::uint64_t>(p) < rem ? 1 : 0);
-      if (target)
-        sim::spawn(producer(mesh, cx, next_thread(),
-                            cls_of[static_cast<std::size_t>(p)], p, target));
+      if (target || run.trace)
+        sim::spawn(node::producer(nd, nd.next_thread(),
+                                  cls_of[static_cast<std::size_t>(p)], p,
+                                  target));
       else
-        --cx.producers_remaining;
+        --nd.producers_remaining;
     }
-    sim::spawn(depth_sampler(mesh, cx));
+    sim::spawn(node::depth_sampler(nd));
   }
 
   // Barrier hook: once every producer mesh-wide has finished (their posts
@@ -708,30 +243,30 @@ ShardedResult run_sharded(const ScenarioSpec& raw, squeue::Backend backend,
   std::uint64_t barriers = 0;
   std::vector<std::uint64_t> prev_lat_blocked(static_cast<std::size_t>(S), 0);
   auto hook = [&]() -> bool {
+    const Tick now = shards.front()->m->now();
     // Link-fault table first (single-threaded here, shards tick-aligned):
     // each epoch then steps under one immutable table, which keeps fault
     // runs byte-identical between sequential and threaded stepping. Runs
     // before the stop check so partitions lift during the drain phase.
-    if (plane)
-      plane->apply_links(ssim, shards.front()->m->now(), barrier_tb);
+    if (run.plane) run.plane->apply_links(ssim, now, barrier_tb);
     // Timeline epoch: after the exchange every shard stands at the same
     // tick, so one sample captures a consistent mesh-wide cut. Sampling
     // reads counters only — it never schedules — so the run's (tick, seq)
     // stream is untouched.
-    if (tl) tl->sample(shards.front()->m->now());
+    if (run.tl) run.tl->sample(now);
     // Supervisor control epoch: reads the cut just taken, re-carves the
     // per-class quotas via the epoch-boundary-safe knobs.
-    if (sup) sup->on_epoch(*tl);
+    if (run.sup) run.sup->on_epoch(*run.tl);
     if (stop_sent) return true;
     bool producers_done = true;
-    for (const auto& cx : shards)
-      if (cx->producers_remaining > 0) {
+    for (const node::Node* nd : run.nodes)
+      if (nd->producers_remaining > 0) {
         producers_done = false;
         break;
       }
     if (producers_done) {
-      for (auto& cx : shards) {
-        ShardCtx* p = cx.get();
+      for (auto& s : shards) {
+        Shard* p = s.get();
         p->m->eq().schedule_at(p->m->now() + spec.sharding.link_latency, [p] {
           p->stop = true;
           p->ingress_wq->wake_one();
@@ -744,45 +279,33 @@ ShardedResult run_sharded(const ScenarioSpec& raw, squeue::Backend backend,
       std::vector<std::uint64_t> load;
       load.reserve(shards.size());
       for (std::size_t si = 0; si < shards.size(); ++si) {
-        const auto& cx = shards[si];
-        std::uint64_t l = cx->ingress.size();
-        for (const auto& ch : cx->channels) l += ch->depth();
-        if (sup) {
+        const Shard& s = *shards[si];
+        std::uint64_t l = s.ingress.size();
+        for (const auto& sc : s.nd->stages.front().channels)
+          l += sc.ch->depth();
+        if (run.sup) {
           // SLO-aware pressure: a shard whose latency class spent this
           // window blocked is hotter than its queue depths alone say, so
           // fold the blocked-ticks growth into its load estimate (scaled
           // down to queue-depth units).
           std::uint64_t bl = 0;
-          for (const auto& t : cx->classes)
+          for (const auto& t : s.nd->tenants)
             if (t.qos == QosClass::kLatency) bl += t.blocked_ticks;
           l += (bl - prev_lat_blocked[si]) / 64;
           prev_lat_blocked[si] = bl;
         }
         load.push_back(l);
       }
-      rebalanced += router.rebalance(load, population);
+      rebalanced += ring.rebalance(load, population);
     }
     return false;
   };
 
   ssim.run(hook);
-
-  if (tl) {
-    // Final cumulative epoch, taken before the per-shard metrics move out
-    // of the contexts: its class.* values equal the merged end-of-run
-    // ScenarioMetrics (same counters, same aggregation).
-    Tick end = 0;
-    for (const auto& cx : shards) end = std::max(end, cx->m->now());
-    tl->sample(end);
-    tl->detach();
-  }
-  for (auto& cx : shards) cx->m->eq().set_trace(nullptr);
+  run.finish();
 
   ShardedResult r;
-  r.engine.scenario = spec.name;
-  r.engine.backend = squeue::to_string(backend);
-  r.engine.seed = seed;
-  r.engine.scale = scale;
+  r.engine = run.result(scale);
   r.engine.events = ssim.executed();
   r.shards = S;
   r.sim_threads = opts.sim_threads;
@@ -790,16 +313,12 @@ ShardedResult run_sharded(const ScenarioSpec& raw, squeue::Backend backend,
   r.cross_shard = ssim.stats().messages;
   r.window_stalls = ssim.stats().window_stalls;
   r.rebalanced = rebalanced;
-  for (auto& cx : shards) {
-    ScenarioMetrics sm;
-    sm.tenants = std::move(cx->classes);
-    sm.depths = std::move(cx->depths);
-    sm.ticks = cx->m->now();
-    sm.ns = cx->m->ns(sm.ticks);
+  for (auto& s : shards) {
+    const ScenarioMetrics sm = s->nd->take_metrics(s->m->now());
+    r.shard_digests.push_back(s->nd->digest);
+    r.shard_delivered.push_back(sm.total_delivered());
     r.engine.metrics.merge(sm);
-    r.engine.device_stats.merge(cx->m->statset());
-    r.shard_digests.push_back(cx->digest);
-    r.shard_delivered.push_back(cx->delivered);
+    r.engine.device_stats.merge(s->m->statset());
   }
   return r;
 }

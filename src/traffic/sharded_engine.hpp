@@ -13,6 +13,13 @@
 // sharding.link_latency hop, sharding.link_window in-flight bound) and are
 // injected by the destination shard's relay thread.
 //
+// Each shard runs the same node actor set as the classic engine
+// (traffic/node.hpp: producers, workers, depth sampler, timeline series);
+// this driver adds only what is mesh-specific — the consistent-hash
+// routing step, the inter-shard link and its per-shard relay thread, and
+// the barrier hook that applies link faults, samples the timeline, runs
+// the supervisor, rebalances the ring, and raises the stop flag.
+//
 // Shards advance under sim::ShardedSim's conservative lookahead, so a run
 // is deterministic — byte-identical CSV and per-shard event digests for a
 // fixed (spec, backend, seed, shards) — in both sequential round-robin and
@@ -67,7 +74,8 @@ struct ShardedResult {
 };
 
 /// Run `spec` across opts.shards shards. Requires a fan-out/mesh topology
-/// (one consumer per channel), open loop, and a sharding block with
+/// (one consumer per channel), open loop, no lifecycle events, no
+/// producer-side shedding (drop_depth), and a sharding block with
 /// population > 0 and messages_total > 0 (after opts overrides). The
 /// global message budget is spread over spec.producers producers
 /// regardless of shard count, so delivered counts match across S — the

@@ -25,20 +25,6 @@ namespace {
 
 using squeue::Backend;
 
-double class_p99(const ScenarioMetrics& m, QosClass cls) {
-  for (const auto& c : m.by_class())
-    if (c.cls == cls)
-      return static_cast<double>(c.agg.latency.percentile(99));
-  return -1.0;
-}
-
-ClassAgg find_class(const ScenarioMetrics& m, QosClass cls) {
-  for (auto& c : m.by_class())
-    if (c.cls == cls) return c;
-  ADD_FAILURE() << "class " << to_string(cls) << " absent";
-  return {};
-}
-
 TEST(ObsDeterminism, ClassicEngineByteIdenticalWithObsOnAndOff) {
   const ScenarioSpec* spec = find_scenario("qos-incast");
   ASSERT_NE(spec, nullptr);
@@ -120,11 +106,17 @@ TEST(ObsDeterminism, ShardedEngineDigestsIdenticalWithObsOnAndOff) {
   EXPECT_GE(tl.epochs(), observed.epochs + 1);
   EXPECT_EQ(tl.last("eq.executed"),
             static_cast<double>(observed.engine.events));
-  const ClassAgg bulk = find_class(observed.engine.metrics, QosClass::kBulk);
-  EXPECT_EQ(tl.last("class.bulk.delivered"),
-            static_cast<double>(bulk.agg.delivered));
-  EXPECT_EQ(tl.last("class.bulk.p99"), class_p99(observed.engine.metrics,
-                                                 QosClass::kBulk));
+  const auto classes = observed.engine.metrics.by_class();
+  ASSERT_EQ(classes.size(), 3u);  // latency, standard, bulk
+  for (const auto& c : classes) {
+    const std::string base = std::string("class.") + to_string(c.cls) + ".";
+    EXPECT_EQ(tl.last(base + "delivered"),
+              static_cast<double>(c.agg.delivered));
+    EXPECT_EQ(tl.last(base + "sent"), static_cast<double>(c.agg.sent));
+    EXPECT_EQ(tl.last(base + "p99"),
+              static_cast<double>(c.agg.latency.percentile(99)));
+    EXPECT_NEAR(tl.last(base + "slo_att_pct"), c.slo_attained_pct(), 1e-9);
+  }
 
   // The tracer saw every shard (pids 0..3) plus the barrier lane (pid 4).
   ASSERT_GT(tr.total_events(), 0u);

@@ -175,6 +175,30 @@ TEST(TrafficEngine, RejectsUnknownAndInvalidScenarios) {
   EXPECT_THROW(eng.run(bad, 1), std::invalid_argument);
 }
 
+TEST(TrafficEngine, ManyProducersOpenLoopConservePerTenant) {
+  // More producers than the stamp's 8-bit producer field holds: open loop
+  // never routes on the id, so the masked stamp must keep every message
+  // attributed to its own tenant.
+  ScenarioSpec spec = *find_scenario("incast-burst");
+  spec.producers = 300;
+  spec.tenants.push_back(spec.tenants.front());
+  spec.tenants.back().name = "burst2";
+  ASSERT_EQ(spec.tenants.size(), 3u);
+  for (auto& t : spec.tenants) t.messages_per_producer = 2;
+  const EngineResult r = run_spec(spec, Backend::kZmq, 42);
+  const std::vector<int> split = tenant_producer_split(spec);
+  ASSERT_EQ(r.metrics.tenants.size(), 3u);
+  for (std::size_t i = 0; i < split.size(); ++i) {
+    const auto& t = r.metrics.tenants[i];
+    EXPECT_EQ(t.generated, 2u * static_cast<std::uint64_t>(split[i]))
+        << t.tenant;
+    EXPECT_EQ(t.generated, t.sent + t.dropped) << t.tenant;
+    EXPECT_EQ(t.delivered, t.sent) << t.tenant;
+    EXPECT_EQ(t.latency.count(), t.delivered) << t.tenant;
+  }
+  EXPECT_EQ(r.metrics.total_delivered(), 600u);
+}
+
 TEST(TrafficEngine, CsvHasPrefixColumnsAndStableShape) {
   const EngineResult r = run_scenario("multitenant-mesh", Backend::kZmq, 9);
   const std::string csv = r.csv();

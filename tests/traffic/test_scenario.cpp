@@ -75,6 +75,22 @@ TEST(Scenario, ValidateRejectsBadSpecs) {
   bad.closed_loop = true;
   bad.window = 0;
   EXPECT_NE(validate(bad), "");
+
+  // Tenant id 0xff is the pill marker, so 255 tenants is the ceiling.
+  bad = minimal();
+  bad.tenants.assign(256, TenantSpec{});
+  bad.producers = 256;
+  EXPECT_NE(validate(bad), "");
+  bad.tenants.resize(255);
+  EXPECT_EQ(validate(bad), "");
+
+  // Closed-loop acks route on the 8-bit producer id.
+  bad = minimal();
+  bad.closed_loop = true;
+  bad.producers = 257;
+  EXPECT_NE(validate(bad), "");
+  bad.producers = 256;
+  EXPECT_EQ(validate(bad), "");
 }
 
 TEST(Scenario, ScaledMultipliesMessageCounts) {

@@ -274,6 +274,11 @@ TEST(ShardedEngine, RejectsUnshardableSpecs) {
   ShardedOptions too_many = small_opts(ok.consumers + 1);
   EXPECT_THROW(run_sharded(ok, Backend::kBlfq, 1, too_many),
                std::invalid_argument);
+
+  ScenarioSpec shedding = ok;  // producer-side shedding is classic-only
+  shedding.tenants.back().drop_depth = 16;
+  EXPECT_THROW(run_sharded(shedding, Backend::kBlfq, 1, small_opts(2)),
+               std::invalid_argument);
 }
 
 TEST(ShardedEngine, RebalanceMovesTenantsUnderSkew) {
