@@ -110,7 +110,7 @@ double victim_ns(std::uint32_t quota, int scale) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int scale = vl::bench::arg_scale(argc, argv);
+  const int scale = vl::bench::parse_scale_flag(argc, argv);
   vl::bench::print_header("Ablation (extensions)",
                           "multi-VLRD / addressing / buffer management");
 

@@ -42,7 +42,7 @@ Row run_one(const workloads::WorkloadInfo& w, Backend b, sim::Protocol proto,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int scale = vl::bench::arg_scale(argc, argv);
+  const int scale = vl::bench::parse_scale_flag(argc, argv);
   vl::bench::print_header("Ablation (protocol)",
                           "MESI vs MOESI under queue traffic");
 

@@ -43,7 +43,7 @@ double pingpong_ns_batched(int words, int scale) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int scale = vl::bench::arg_scale(argc, argv);
+  const int scale = vl::bench::parse_scale_flag(argc, argv);
   vl::bench::print_header("Ablation", "VLRD design-choice sweeps");
 
   std::printf("\n-- 1. prodBuf/consBuf depth under incast (back-pressure) --\n");

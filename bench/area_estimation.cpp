@@ -8,8 +8,9 @@
 #include "arch/area_model.hpp"
 #include "bench/bench_util.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vl;
+  bench::parse_flags(argc, argv, {});
   bench::print_header("Area estimation (§ IV-B)",
                       "VLRD storage/area model, calibrated at Table III");
 

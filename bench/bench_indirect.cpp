@@ -82,7 +82,7 @@ Result run_bulk(Backend backend, std::size_t payload_bytes, int payloads,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int scale = vl::bench::arg_scale(argc, argv);
+  const int scale = vl::bench::parse_scale_flag(argc, argv);
   const int payloads = 32 * scale;
   vl::bench::print_header("Indirect buffers (§ III-D extension)",
                           "bulk payloads by descriptor, 2:2 pipeline");

@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace vl;
   using squeue::Backend;
-  const int scale = vl::bench::arg_scale(argc, argv);
+  const int scale = vl::bench::parse_scale_flag(argc, argv);
   vl::bench::print_header("Extension workloads",
                           "bsp-native collectives across backends");
 

@@ -37,7 +37,7 @@ double sim_ns_per_push(int producers, int per_producer) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int scale = vl::bench::arg_scale(argc, argv);
+  const int scale = vl::bench::parse_scale_flag(argc, argv);
   vl::bench::print_header("Figure 1",
                           "BLFQ time-per-push vs producer count, and the "
                           "unsynchronized line-transfer floor");

@@ -58,7 +58,7 @@ squeue::SimLock& make_mcs(runtime::Machine& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int scale = vl::bench::arg_scale(argc, argv);
+  const int scale = vl::bench::parse_scale_flag(argc, argv);
   vl::bench::print_header(
       "Figure 2", "lockhammer: ns per acquire vs contending threads");
 

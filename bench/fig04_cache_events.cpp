@@ -58,7 +58,7 @@ void fig3_trace() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int scale = vl::bench::arg_scale(argc, argv);
+  const int scale = vl::bench::parse_scale_flag(argc, argv);
   vl::bench::print_header(
       "Figure 4", "cache events per BLFQ push vs producer count");
 

@@ -32,7 +32,7 @@ const std::vector<Backend> kBackends = {Backend::kBlfq, Backend::kZmq,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int scale = vl::bench::arg_scale(argc, argv);
+  const int scale = vl::bench::parse_scale_flag(argc, argv);
   vl::bench::print_header("Figure 11",
                           "7 benchmarks x 4 queue schemes on the Table III "
                           "machine (all values normalized to BLFQ)");

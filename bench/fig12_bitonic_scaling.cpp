@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
   using namespace vl;
   using squeue::Backend;
-  const int scale = vl::bench::arg_scale(argc, argv, 2);
+  const int scale = vl::bench::parse_scale_flag(argc, argv, 2);
   vl::bench::print_header("Figure 12",
                           "bitonic speedup vs total threads (fixed work)");
 

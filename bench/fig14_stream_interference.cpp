@@ -12,7 +12,7 @@
 int main(int argc, char** argv) {
   using namespace vl;
   using squeue::Backend;
-  const int scale = vl::bench::arg_scale(argc, argv);
+  const int scale = vl::bench::parse_scale_flag(argc, argv);
   vl::bench::print_header("Figure 14",
                           "STREAM alone vs STREAM + ping-pong per backend");
 

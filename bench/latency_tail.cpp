@@ -97,7 +97,7 @@ void print_tails(const char* title, Tail (*fn)(Backend, int), int n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int scale = vl::bench::arg_scale(argc, argv);
+  const int scale = vl::bench::parse_scale_flag(argc, argv);
   vl::bench::print_header("Latency tails (extension)",
                           "end-to-end message latency percentiles");
   print_tails("steady 1:1, rate-matched", run_steady, 200 * scale);

@@ -11,7 +11,6 @@
 // vl_matrix.csv in the working directory).
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 
 #include "bench/bench_util.hpp"
@@ -23,17 +22,14 @@ namespace {
 using namespace vl;
 using squeue::Backend;
 
-const char* arg_out(int argc, char** argv, const char* def) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], "--out") == 0) return argv[i + 1];
-  return def;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int scale = vl::bench::arg_scale(argc, argv);
-  const char* out_path = arg_out(argc, argv, "vl_matrix.csv");
+  int scale = 1;
+  std::string out_path = "vl_matrix.csv";
+  vl::bench::parse_flags(
+      argc, argv, {vl::bench::flag("--scale", &scale, 1, vl::bench::kScaleHelp),
+                   vl::bench::flag("--out", &out_path, "CSV output path")});
   vl::bench::print_header("Run matrix", "all workloads x all backends -> CSV");
 
   CsvWriter csv({"workload", "backend", "scale", "ticks", "ns", "messages",
@@ -77,6 +73,7 @@ int main(int argc, char** argv) {
 
   std::ofstream f(out_path);
   f << csv.str();
-  std::printf("\nwrote %zu rows to %s\n", csv.rows_written() - 1, out_path);
+  std::printf("\nwrote %zu rows to %s\n", csv.rows_written() - 1,
+              out_path.c_str());
   return f.good() ? 0 : 1;
 }

@@ -20,7 +20,6 @@
 // scaling view over the whole preset suite.
 
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -41,70 +40,7 @@
 
 namespace {
 
-using vl::bench::arg_value;
-using vl::bench::parse_backend;
 using vl::squeue::Backend;
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
-}
-
-void print_usage() {
-  std::fprintf(stderr,
-               "usage: scenario_runner [--scenario NAME|all] [--backend "
-               "blfq|zmq|vl|vlideal|caf|all]\n"
-               "                       [--seed N] [--scale N] [--batch N] "
-               "[--list] [--quiet] [--no-qos]\n"
-               "                       [--sweep [--scales N,N,..] "
-               "[--batches N,N,..]]\n"
-               "                       [--shards N [--sim-threads N] "
-               "[--tenants N]]\n"
-               "  --no-qos  run with tenant QoS classes recorded but not\n"
-               "            enforced in hardware (ablation baseline)\n"
-               "  --batch   override every tenant's injection batch\n"
-               "            (TenantSpec::batch; 0 keeps preset values)\n"
-               "  --shards  run the sharded mesh engine with N shards\n"
-               "            (needs a preset with a sharding block)\n"
-               "  --sim-threads  step shards on N host threads; output is\n"
-               "            byte-identical to sequential stepping\n"
-               "  --tenants override the sharded tenant population\n"
-               "  --timeline FILE  sample an epoch time-series into FILE\n"
-               "            (.json for JSON, anything else long-form CSV);\n"
-               "            single (scenario, backend) cell only\n"
-               "  --sample-every N  timeline sampling period in sim ticks\n"
-               "            (classic engine; sharded runs sample at every\n"
-               "            lookahead barrier instead)\n"
-               "  --trace FILE  write a Chrome-trace JSON of the run\n"
-               "            (load in Perfetto / chrome://tracing);\n"
-               "            single cell only\n"
-               "  --metrics-json FILE  dump end-of-run ScenarioMetrics\n"
-               "            (incl. per-class rows) as a JSON runs array\n"
-               "  --faults SPEC  deterministic fault schedule (see\n"
-               "            fault/spec.hpp grammar), e.g.\n"
-               "            'stall@20000+30000;spike@10000+5000:extra=256'\n"
-               "            or 'rand:7' — overrides the preset's schedule\n"
-               "  --no-supervisor  disable the closed-loop QoS supervisor\n"
-               "            on presets that enable it (ablation baseline)\n"
-               "  --assert-slo CLASS=PCT  exit non-zero unless CLASS's SLO\n"
-               "            attainment is >= PCT in every cell (CI gate),\n"
-               "            e.g. --assert-slo latency=90\n"
-               "  --record FILE  tap the engine send boundary and save the\n"
-               "            per-message trace (.csv or binary by extension);\n"
-               "            single cell only\n"
-               "  --replay FILE  drive the run from a recorded trace instead\n"
-               "            of the preset's arrival processes; single cell,\n"
-               "            shape (scenario/producers/tenants) must match\n"
-               "  --churn SPEC  lifecycle events (replay/lifecycle.hpp\n"
-               "            grammar), e.g.\n"
-               "            'leave@30000:tenant=bulk;join@45000:tenant=bulk'\n"
-               "            or 'reconfig@20000' (VL backends only); classic\n"
-               "            engine only. Exit 4 on a conservation violation\n"
-               "  --warm-restart  run the snapshot/rebuild/restore drill on\n"
-               "            the selected device backend (vl|vlideal|caf)\n"
-               "            and print its one-line report\n");
-}
 
 /// Run one (scenario, backend) cell, honouring the --no-qos ablation and
 /// the --batch override (0 = keep the preset's per-tenant batches). With
@@ -118,16 +54,14 @@ vl::traffic::EngineResult run_cell(const std::string& name, Backend b,
                                    std::uint64_t tenants = 0,
                                    const vl::obs::RunHooks* obs = nullptr,
                                    bool no_supervisor = false,
-                                   const std::string& faults = "",
-                                   const std::string& churn = "",
+                                   const vl::fault::FaultSpec& faults = {},
+                                   const vl::replay::LifecycleSpec& churn = {},
                                    const vl::replay::Trace* replay = nullptr) {
-  const vl::traffic::ScenarioSpec* spec = vl::traffic::find_scenario(name);
-  if (!spec) throw std::invalid_argument("unknown scenario: " + name);
-  vl::traffic::ScenarioSpec run = *spec;
+  vl::traffic::ScenarioSpec run = *vl::traffic::find_scenario(name);
   if (no_qos && run.qos) run.qos = false;
   if (no_supervisor) run.supervisor = false;
-  if (!faults.empty()) run.faults = vl::fault::FaultSpec::parse(faults);
-  if (!churn.empty()) run.lifecycle = vl::replay::LifecycleSpec::parse(churn);
+  if (!faults.empty()) run.faults = faults;
+  if (!churn.empty()) run.lifecycle = churn;
   run.replay = replay;
   if (batch) run = vl::traffic::with_batch(run, batch);
   if (shards > 0) {
@@ -151,6 +85,26 @@ vl::traffic::EngineResult run_cell(const std::string& name, Backend b,
   return vl::traffic::run_spec(run, b, seed, scale, obs);
 }
 
+/// --assert-slo CLASS=PCT, the CI chaos-smoke gate.
+struct SloAssert {
+  std::string cls;  ///< Empty when nothing is asserted.
+  double pct = 0.0;
+
+  static SloAssert parse(const std::string& s) {
+    const auto eq = s.find('=');
+    SloAssert a{s.substr(0, eq), 0.0};
+    bool known = false;
+    for (std::size_t c = 0; c < vl::kQosClasses; ++c)
+      known = known || a.cls == to_string(static_cast<vl::QosClass>(c));
+    if (eq == std::string::npos || !known)
+      throw std::invalid_argument("--assert-slo '" + s +
+                                  "': CLASS=PCT needs CLASS standard, latency "
+                                  "or bulk");
+    a.pct = vl::parse::to_f64(s.substr(eq + 1), "--assert-slo PCT", 0, 100);
+    return a;
+  }
+};
+
 /// Write `text` to `path`; exits the process on I/O failure so a silently
 /// missing artifact can't pass CI.
 void write_file(const std::string& path, const std::string& text) {
@@ -163,31 +117,11 @@ void write_file(const std::string& path, const std::string& text) {
   std::fclose(f);
 }
 
-std::vector<int> parse_scales(const char* s) {
-  std::vector<int> out;
-  int cur = 0;
-  bool have = false;
-  for (const char* p = s;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      cur = cur * 10 + (*p - '0');
-      have = true;
-    } else if (*p == ',' || *p == '\0') {
-      if (have && cur > 0) out.push_back(cur);
-      cur = 0;
-      have = false;
-      if (*p == '\0') break;
-    } else {
-      return {};
-    }
-  }
-  return out;
-}
-
 int run_sweep(const std::vector<std::string>& scenarios,
               const std::vector<Backend>& backends,
               const std::vector<int>& scales, const std::vector<int>& batches,
               std::uint64_t seed, bool no_qos, bool no_supervisor,
-              const std::string& faults) {
+              const vl::fault::FaultSpec& faults) {
   vl::TextTable tt({"backend", "scale", "batch", "scenarios",
                     "geomean_Mmsg/s", "geomean_ticks", "geomean_ev/msg",
                     "geomean_p99_lat", "slo_att_%"});
@@ -249,11 +183,49 @@ int run_sweep(const std::vector<std::string>& scenarios,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (has_flag(argc, argv, "--help") || has_flag(argc, argv, "-h")) {
-    print_usage();
-    return 0;
-  }
-  if (has_flag(argc, argv, "--list")) {
+  std::string scenario = "all", backend_s = "all", timeline_path, trace_path,
+              metrics_json_path, record_path, replay_path;
+  std::uint64_t seed = 42, tenants = 0, sample_every = 10000;
+  int scale = 1, batch = 0, shards = 0, sim_threads = 1;
+  bool list = false, quiet = false, no_qos = false, sweep = false,
+       no_supervisor = false, warm_restart = false;
+  std::vector<int> scales = {1, 2}, batches;
+  vl::fault::FaultSpec faults;
+  vl::replay::LifecycleSpec churn;
+  SloAssert slo;
+  using vl::bench::flag;
+  vl::bench::parse_flags(argc, argv, {
+      flag("--list", &list, "list scenario presets and workloads, then exit"),
+      flag("--scenario", &scenario, "preset NAME, or all"),
+      flag("--backend", &backend_s, "blfq|zmq|vl|vlideal|caf, or all"),
+      flag("--seed", &seed, "RNG seed"),
+      flag("--scale", &scale, 1, vl::bench::kScaleHelp),
+      flag("--batch", &batch, 0, "every tenant's batch; 0 keeps the preset's"),
+      flag("--quiet", &quiet, "no tables on stderr"),
+      flag("--no-qos", &no_qos, "record QoS classes but do not enforce them"),
+      flag("--sweep", &sweep, "geomean table over (backend, scale, batch)"),
+      flag("--scales", &scales, 1, "--sweep scales"),
+      flag("--batches", &batches, 1, "--sweep batches (default --batch or 1)"),
+      flag("--shards", &shards, 0, "sharded mesh on N shards; 0 = classic"),
+      flag("--sim-threads", &sim_threads, 1, "step shards on N host threads"),
+      flag("--tenants", &tenants, "sharded population; 0 keeps the preset's"),
+      flag("--timeline", &timeline_path, "epoch series FILE (.json or CSV)"),
+      flag("--sample-every", &sample_every, "timeline period in ticks"),
+      flag("--trace", &trace_path, "Chrome-trace JSON FILE"),
+      flag("--metrics-json", &metrics_json_path, "end-of-run metrics JSON"),
+      flag("--faults", &faults, &vl::fault::FaultSpec::parse,
+           "fault schedule (fault/spec.hpp grammar)"),
+      flag("--no-supervisor", &no_supervisor, "disable the QoS supervisor"),
+      flag("--assert-slo", &slo, &SloAssert::parse,
+           "CLASS=PCT: exit 3 unless CLASS meets PCT% SLO attainment"),
+      flag("--record", &record_path, "save the send-boundary trace FILE"),
+      flag("--replay", &replay_path, "drive the run from trace FILE"),
+      flag("--churn", &churn, &vl::replay::LifecycleSpec::parse,
+           "lifecycle events (replay/lifecycle.hpp grammar)"),
+      flag("--warm-restart", &warm_restart, "run the warm-restart drill"),
+  });
+
+  if (list) {
     std::printf("scenario presets (--scenario NAME):\n");
     for (const auto& name : vl::traffic::scenario_names()) {
       const auto* s = vl::traffic::find_scenario(name);
@@ -268,69 +240,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::string scenario = arg_value(argc, argv, "--scenario", "all");
-  const std::string backend_s = arg_value(argc, argv, "--backend", "all");
-  const auto seed = static_cast<std::uint64_t>(
-      std::strtoull(arg_value(argc, argv, "--seed", "42"), nullptr, 10));
-  const int scale = vl::bench::arg_scale(argc, argv, 1);
-  const auto batch = static_cast<std::uint32_t>(
-      std::strtoul(arg_value(argc, argv, "--batch", "0"), nullptr, 10));
-  const bool quiet = has_flag(argc, argv, "--quiet");
-  const bool no_qos = has_flag(argc, argv, "--no-qos");
-  const int shards = static_cast<int>(
-      std::strtol(arg_value(argc, argv, "--shards", "0"), nullptr, 10));
-  const int sim_threads = static_cast<int>(
-      std::strtol(arg_value(argc, argv, "--sim-threads", "1"), nullptr, 10));
-  const auto tenants = static_cast<std::uint64_t>(
-      std::strtoull(arg_value(argc, argv, "--tenants", "0"), nullptr, 10));
-  const std::string timeline_path = arg_value(argc, argv, "--timeline", "");
-  const std::string trace_path = arg_value(argc, argv, "--trace", "");
-  const std::string metrics_json_path =
-      arg_value(argc, argv, "--metrics-json", "");
-  const auto sample_every = static_cast<vl::Tick>(
-      std::strtoull(arg_value(argc, argv, "--sample-every", "10000"), nullptr,
-                    10));
-  const bool no_supervisor = has_flag(argc, argv, "--no-supervisor");
-  const std::string faults = arg_value(argc, argv, "--faults", "");
-  bool chan_faults = false;  // loss/dup clauses present in --faults
-  if (!faults.empty()) {
-    try {
-      const vl::fault::FaultSpec fs = vl::fault::FaultSpec::parse(faults);
-      chan_faults = fs.has(vl::fault::FaultKind::kChanLoss) ||
-                    fs.has(vl::fault::FaultKind::kChanDup);
-      std::fprintf(stderr, "faults: %s\n", fs.summary().c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
-  }
-  const std::string record_path = arg_value(argc, argv, "--record", "");
-  const std::string replay_path = arg_value(argc, argv, "--replay", "");
-  const std::string churn = arg_value(argc, argv, "--churn", "");
-  const bool warm_restart = has_flag(argc, argv, "--warm-restart");
-  vl::replay::LifecycleSpec churn_spec;
-  if (!churn.empty()) {
-    try {
-      churn_spec = vl::replay::LifecycleSpec::parse(churn);
-      std::fprintf(stderr, "churn: %s\n", churn_spec.summary().c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
-  }
-  // --assert-slo CLASS=PCT: the CI chaos-smoke gate.
-  const std::string assert_slo = arg_value(argc, argv, "--assert-slo", "");
-  std::string slo_class;
-  double slo_threshold = 0.0;
-  if (!assert_slo.empty()) {
-    const auto eq = assert_slo.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "--assert-slo needs CLASS=PCT\n");
-      return 2;
-    }
-    slo_class = assert_slo.substr(0, eq);
-    slo_threshold = std::strtod(assert_slo.c_str() + eq + 1, nullptr);
-  }
+  // Loss/dup clauses present in --faults.
+  const bool chan_faults = faults.has(vl::fault::FaultKind::kChanLoss) ||
+                           faults.has(vl::fault::FaultKind::kChanDup);
+  if (!faults.empty())
+    std::fprintf(stderr, "faults: %s\n", faults.summary().c_str());
+  if (!churn.empty())
+    std::fprintf(stderr, "churn: %s\n", churn.summary().c_str());
 
   std::vector<std::string> scenarios;
   if (scenario == "all") {
@@ -343,15 +259,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<Backend> backends;
-  if (backend_s == "all") {
-    backends = {Backend::kBlfq, Backend::kZmq, Backend::kVl,
-                Backend::kVlIdeal, Backend::kCaf};
-  } else if (auto b = parse_backend(backend_s)) {
-    backends.push_back(*b);
-  } else {
+  const std::vector<Backend> backends = vl::bench::parse_backends(backend_s);
+  if (backends.empty()) {
     std::fprintf(stderr, "unknown backend '%s'\n", backend_s.c_str());
-    print_usage();
     return 2;
   }
 
@@ -368,7 +278,7 @@ int main(int argc, char** argv) {
                    to_string(b));
       return 2;
     }
-    if (churn_spec.has_reconfig() && b != Backend::kVl &&
+    if (churn.has_reconfig() && b != Backend::kVl &&
         b != Backend::kVlIdeal) {
       std::fprintf(stderr,
                    "unsupported combination: --churn reconfig@ with "
@@ -399,20 +309,14 @@ int main(int argc, char** argv) {
   }
 
   if (warm_restart) {
-    for (Backend b : backends)
-      if (b == Backend::kBlfq || b == Backend::kZmq) {
-        std::fprintf(stderr,
-                     "unsupported combination: --warm-restart with "
-                     "--backend %s — the software rings keep their state in "
-                     "host memory; only the device backends (vl, vlideal, "
-                     "caf) have restorable device state. Pick --backend "
-                     "vl|vlideal|caf\n",
-                     to_string(b));
+    for (Backend b : backends) {
+      vl::replay::WarmRestartReport rep;
+      try {  // software backends have no device state to restore
+        rep = vl::replay::run_warm_restart(b, seed);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "unsupported combination: %s\n", e.what());
         return 2;
       }
-    for (Backend b : backends) {
-      const vl::replay::WarmRestartReport rep =
-          vl::replay::run_warm_restart(b, seed);
       std::printf("%s\n", rep.text().c_str());
       if (!rep.conserved()) {
         std::fprintf(stderr, "warm-restart: conservation FAILED\n");
@@ -422,23 +326,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (has_flag(argc, argv, "--sweep")) {
-    const std::vector<int> scales =
-        parse_scales(arg_value(argc, argv, "--scales", "1,2"));
-    if (scales.empty()) {
-      std::fprintf(stderr, "bad --scales list\n");
-      print_usage();
-      return 2;
-    }
-    // The batch sweep dimension: 0 keeps each preset's per-tenant batches.
-    const std::string batches_def = batch ? std::to_string(batch) : "1";
-    const std::vector<int> batches = parse_scales(
-        arg_value(argc, argv, "--batches", batches_def.c_str()));
-    if (batches.empty()) {
-      std::fprintf(stderr, "bad --batches list\n");
-      print_usage();
-      return 2;
-    }
+  if (sweep) {
+    // The batch sweep dimension defaults to the --batch value (or 1).
+    if (batches.empty()) batches = {batch ? batch : 1};
     return run_sweep(scenarios, backends, scales, batches, seed, no_qos,
                      no_supervisor, faults);
   }
@@ -466,15 +356,6 @@ int main(int argc, char** argv) {
                    e.what());
       return 2;
     }
-    if (replay_trace->sharded != (shards > 0)) {
-      std::fprintf(stderr,
-                   "--replay: trace was recorded on the %s engine; %s\n",
-                   replay_trace->sharded ? "sharded" : "classic",
-                   replay_trace->sharded
-                       ? "pass --shards N to replay it"
-                       : "drop --shards to replay it");
-      return 2;
-    }
     std::fprintf(stderr,
                  "replay: %zu records from %s (scenario=%s backend=%s "
                  "seed=%llu)\n",
@@ -497,6 +378,7 @@ int main(int argc, char** argv) {
   if (!record_path.empty()) hooks.recorder = &recorder;
 
   bool slo_ok = true;
+  int slo_cells = 0;  // cells with SLO-carrying deliveries in slo.cls
   bool conserved = true;  // --churn zero-loss check
   std::string metrics_json;  // Accumulated `runs` array body.
   bool header_done = false;
@@ -527,15 +409,16 @@ int main(int argc, char** argv) {
           conserved = false;
         }
       }
-      if (!slo_class.empty()) {
+      if (!slo.cls.empty()) {
         for (const auto& c : r.metrics.by_class()) {
-          if (to_string(c.cls) != slo_class || !c.slo_delivered) continue;
+          if (to_string(c.cls) != slo.cls || !c.slo_delivered) continue;
+          ++slo_cells;
           const double att = 100.0 * static_cast<double>(c.slo_within) /
                              static_cast<double>(c.slo_delivered);
           std::fprintf(stderr, "assert-slo: %s %s %s=%.2f%% (need %.2f%%)\n",
-                       name.c_str(), r.backend.c_str(), slo_class.c_str(),
-                       att, slo_threshold);
-          if (att < slo_threshold) slo_ok = false;
+                       name.c_str(), r.backend.c_str(), slo.cls.c_str(),
+                       att, slo.pct);
+          if (att < slo.pct) slo_ok = false;
         }
       }
       // One shared CSV header across the whole sweep.
@@ -587,9 +470,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "recorded %zu messages to %s\n", tr.records.size(),
                  record_path.c_str());
   }
+  if (!slo.cls.empty() && slo_cells == 0) {
+    std::fprintf(stderr,
+                 "assert-slo: FAILED (no cell had SLO-carrying %s "
+                 "deliveries)\n",
+                 slo.cls.c_str());
+    return 3;
+  }
   if (!slo_ok) {
     std::fprintf(stderr, "assert-slo: FAILED (attainment below %.2f%%)\n",
-                 slo_threshold);
+                 slo.pct);
     return 3;
   }
   if (!conserved) {

@@ -18,12 +18,11 @@
 //   sim_throughput --scenario replay-qos-incast --backend vl
 //   sim_throughput --scenario incast-burst --backend zmq --scale 2
 //   sim_throughput --scenario qos-adversarial-bulk --backend vl
-//       --faults 'stall@40000+20000:every=1' --no-supervisor
+//       --faults 'stall@40000+20000' --no-supervisor
 //   sim_throughput --out build/BENCH_sim.json
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,14 +40,12 @@
 
 namespace {
 
-using vl::bench::arg_value;
-using vl::bench::parse_backend;
 using vl::squeue::Backend;
 
 struct RunSpec {
   std::string scenario;
   Backend backend;
-  std::uint32_t batch = 0;  ///< 0 keeps the preset's per-tenant batches.
+  int batch = 0;            ///< 0 keeps the preset's per-tenant batches.
   int shards = 0;           ///< 0 = classic engine; >= 1 = sharded mesh.
   bool timeline = false;    ///< Attach an obs::Timeline (overhead guard).
   bool sup = false;         ///< Run the closed-loop QoS supervisor.
@@ -224,10 +221,9 @@ Row run_replay_row(const std::string& scenario, Backend backend,
   return finish_row(row, t0, t1);
 }
 
-Row run_one(const std::string& scenario, Backend backend, std::uint64_t seed,
-            int scale, std::uint32_t batch = 0, int shards = 0,
-            bool timeline = false, bool sup = false,
-            const std::string& faults = "", bool* replay_fail = nullptr) {
+Row run_one(const RunSpec& rs, std::uint64_t seed, int scale,
+            const vl::fault::FaultSpec& faults, bool* replay_fail) {
+  const auto& [scenario, backend, batch, shards, timeline, sup] = rs;
   if (is_workload_row(scenario)) return run_workload_row(scenario, backend, scale);
   if (is_replay_row(scenario))
     return run_replay_row(scenario, backend, seed, scale, replay_fail);
@@ -236,7 +232,7 @@ Row run_one(const std::string& scenario, Backend backend, std::uint64_t seed,
   // qos-adversarial-bulk row measures static quotas even though the preset
   // defaults the supervisor on.
   spec.supervisor = sup;
-  if (!faults.empty()) spec.faults = vl::fault::FaultSpec::parse(faults);
+  if (!faults.empty()) spec.faults = faults;
   vl::obs::Timeline tl;
   vl::obs::RunHooks hooks;
   hooks.timeline = &tl;
@@ -307,110 +303,71 @@ void write_json(const char* path, const std::vector<Row>& rows,
   std::fprintf(stderr, "wrote %s\n", path);
 }
 
-void print_usage() {
-  std::printf(
-      "usage: sim_throughput [options]\n"
-      "  (no options)          run the default preset matrix\n"
-      "  --list                presets + registered workloads, then exit\n"
-      "  --scenario NAME       one preset, wl-NAME workload, or replay-NAME\n"
-      "  --backend B           blfq|zmq|vl|vlideal|caf|all (default all)\n"
-      "  --seed N              RNG seed (default 42)\n"
-      "  --scale N             multiply per-producer message counts\n"
-      "  --batch N             override every tenant's injection batch\n"
-      "  --shards N            run on the sharded mesh with N shards\n"
-      "  --faults SPEC         fault-plane events (fault/spec.hpp grammar)\n"
-      "  --no-supervisor       static quotas even where the preset\n"
-      "                        enables the QoS supervisor\n"
-      "  --out FILE            JSON results (default BENCH_sim.json)\n"
-      "  --digest FILE         deterministic digest lines for wl- rows\n"
-      "  -h, --help            this text, then exit\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--help") == 0 ||
-        std::strcmp(argv[i], "-h") == 0) {
-      print_usage();
-      return 0;
+  std::string scenario, backend_s, out = "BENCH_sim.json", digest_path;
+  std::uint64_t seed = 42;
+  int scale = 1, batch = 0, shards = 0;
+  bool list = false, no_supervisor = false;
+  vl::fault::FaultSpec faults;
+  using vl::bench::flag;
+  vl::bench::parse_flags(argc, argv, {
+      flag("--list", &list, "presets and registered workloads, then exit"),
+      flag("--scenario", &scenario, "preset, wl-NAME workload or replay-NAME"),
+      flag("--backend", &backend_s, "blfq|zmq|vl|vlideal|caf, or all"),
+      flag("--seed", &seed, "RNG seed"),
+      flag("--scale", &scale, 1, vl::bench::kScaleHelp),
+      flag("--batch", &batch, 0, "every tenant's injection batch; 0 keeps"),
+      flag("--shards", &shards, 0, "sharded mesh on N shards; 0 = classic"),
+      flag("--faults", &faults, &vl::fault::FaultSpec::parse,
+           "fault schedule (fault/spec.hpp grammar)"),
+      flag("--no-supervisor", &no_supervisor, "static quotas on every preset"),
+      flag("--out", &out, "JSON results FILE"),
+      flag("--digest", &digest_path, "deterministic digest lines of wl- rows"),
+  });
+  if (list) {
+    std::printf("scenario presets (--scenario NAME):\n");
+    for (const auto& name : vl::traffic::scenario_names()) {
+      const auto* s = vl::traffic::find_scenario(name);
+      std::printf("  %-18s %s\n", name.c_str(), s->summary.c_str());
     }
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--list") == 0) {
-      std::printf("scenario presets (--scenario NAME):\n");
-      for (const auto& name : vl::traffic::scenario_names()) {
-        const auto* s = vl::traffic::find_scenario(name);
-        std::printf("  %-18s %s\n", name.c_str(), s->summary.c_str());
-      }
-      std::printf("\nregistered workloads (--scenario wl-NAME):\n");
-      for (const auto* w : vl::workloads::all_workloads())
-        std::printf("  wl-%-15s %s\n", w->name, w->summary);
-      std::printf("\nany preset also runs as replay-NAME "
-                  "(record in memory, then replay the trace).\n");
-      return 0;
-    }
-  const std::string scenario = arg_value(argc, argv, "--scenario", "");
-  const std::string backend_s = arg_value(argc, argv, "--backend", "");
-  const auto seed = static_cast<std::uint64_t>(
-      std::strtoull(arg_value(argc, argv, "--seed", "42"), nullptr, 10));
-  const int scale = vl::bench::arg_scale(argc, argv, 1);
-  const auto batch = static_cast<std::uint32_t>(
-      std::strtoul(arg_value(argc, argv, "--batch", "0"), nullptr, 10));
-  const int shards = static_cast<int>(
-      std::strtol(arg_value(argc, argv, "--shards", "0"), nullptr, 10));
-  const char* out = arg_value(argc, argv, "--out", "BENCH_sim.json");
-  const std::string digest_path = arg_value(argc, argv, "--digest", "");
-  const std::string faults = arg_value(argc, argv, "--faults", "");
-  bool no_supervisor = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--no-supervisor") == 0) no_supervisor = true;
-  if (!faults.empty()) {
-    try {
-      const auto fs = vl::fault::FaultSpec::parse(faults);
-      std::fprintf(stderr, "faults: %s\n", fs.summary().c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bad --faults spec: %s\n", e.what());
-      return 2;
-    }
+    std::printf("\nregistered workloads (--scenario wl-NAME):\n");
+    for (const auto* w : vl::workloads::all_workloads())
+      std::printf("  wl-%-15s %s\n", w->name, w->summary);
+    std::printf("\nany preset also runs as replay-NAME "
+                "(record in memory, then replay the trace).\n");
+    return 0;
   }
+  if (!faults.empty())
+    std::fprintf(stderr, "faults: %s\n", faults.summary().c_str());
 
   std::vector<RunSpec> matrix;
   if (!scenario.empty() || !backend_s.empty()) {
     const std::string sc = scenario.empty() ? "incast-burst" : scenario;
-    if (is_workload_row(sc)) {
-      if (!vl::workloads::find_workload(sc.substr(3))) {
-        std::fprintf(stderr, "unknown workload '%s'\n", sc.c_str() + 3);
-        return 2;
-      }
-    } else if (is_replay_row(sc)) {
-      if (!vl::traffic::find_scenario(sc.substr(7))) {
-        std::fprintf(stderr, "unknown scenario '%s' (for replay row '%s')\n",
-                     sc.c_str() + 7, sc.c_str());
-        return 2;
-      }
-      if (batch || shards > 0) {
-        std::fprintf(stderr,
-                     "replay rows record and re-run the plain cell; they do "
-                     "not combine with --batch/--shards\n");
-        return 2;
-      }
-    } else if (!vl::traffic::find_scenario(sc)) {
-      std::fprintf(stderr, "unknown scenario '%s'\n", sc.c_str());
+    const bool wl = is_workload_row(sc), replay = is_replay_row(sc);
+    const std::string base = sc.substr(wl ? 3 : replay ? 7 : 0);
+    if (wl ? !vl::workloads::find_workload(base)
+           : !vl::traffic::find_scenario(base)) {
+      std::fprintf(stderr, "unknown %s '%s'\n", wl ? "workload" : "scenario",
+                   base.c_str());
       return 2;
     }
-    std::vector<Backend> bs;
-    if (backend_s.empty() || backend_s == "all") {
-      bs = {Backend::kBlfq, Backend::kZmq, Backend::kVl, Backend::kVlIdeal,
-            Backend::kCaf};
-    } else if (auto b = parse_backend(backend_s)) {
-      bs = {*b};
-    } else {
+    if (replay && (batch || shards > 0)) {
+      std::fprintf(stderr,
+                   "replay rows record and re-run the plain cell; they do "
+                   "not combine with --batch/--shards\n");
+      return 2;
+    }
+    const std::vector<Backend> bs =
+        vl::bench::parse_backends(backend_s.empty() ? "all" : backend_s);
+    if (bs.empty()) {
       std::fprintf(stderr, "unknown backend '%s'\n", backend_s.c_str());
       return 2;
     }
     // CLI cells honor the preset's supervisor default unless --no-supervisor
     // (replay rows always run static quotas so record and replay match).
-    const bool sup = !is_workload_row(sc) && !is_replay_row(sc) &&
+    const bool sup = !wl && !replay &&
                      vl::traffic::find_scenario(sc)->supervisor &&
                      !no_supervisor;
     for (Backend b : bs) matrix.push_back({sc, b, batch, shards, false, sup});
@@ -423,9 +380,7 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   bool replay_fail = false;
   for (const RunSpec& rs : matrix)
-    rows.push_back(run_one(rs.scenario, rs.backend, seed, scale, rs.batch,
-                           rs.shards, rs.timeline, rs.sup, faults,
-                           &replay_fail));
+    rows.push_back(run_one(rs, seed, scale, faults, &replay_fail));
 
   vl::TextTable tt({"scenario", "backend", "events", "sim_ticks", "delivered",
                     "lat_p99", "ev/msg", "wall_ms", "events/s", "Mticks/s"});
@@ -439,7 +394,7 @@ int main(int argc, char** argv) {
                 vl::TextTable::num(r.mticks_per_sec, 2)});
   std::printf("%s\n", tt.render().c_str());
 
-  write_json(out, rows, seed, scale);
+  write_json(out.c_str(), rows, seed, scale);
 
   // Deterministic digest lines for the wl- rows (CI runs this twice and
   // cmps the files: identical simulations must produce identical digests).

@@ -1,23 +1,60 @@
 #include "fault/spec.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 
 namespace vl::fault {
 
-const char* to_string(FaultKind k) {
-  switch (k) {
-    case FaultKind::kLinkSpike: return "spike";
-    case FaultKind::kPartition: return "partition";
-    case FaultKind::kDeviceStall: return "stall";
-    case FaultKind::kChanLoss: return "loss";
-    case FaultKind::kChanDup: return "dup";
-    case FaultKind::kFlashCrowd: return "flash";
+namespace {
+
+/// Each kind's grammar name and key set, in summary() rendering order.
+struct KindInfo {
+  FaultKind kind;
+  const char* name;
+  std::vector<std::string_view> keys;
+};
+const KindInfo kKinds[] = {
+    {FaultKind::kLinkSpike, "spike", {"extra", "src", "dst"}},
+    {FaultKind::kPartition, "partition", {"src", "dst"}},
+    {FaultKind::kDeviceStall, "stall", {"shard"}},
+    {FaultKind::kChanLoss, "loss", {"every", "shard"}},
+    {FaultKind::kChanDup, "dup", {"every", "shard"}},
+    {FaultKind::kFlashCrowd, "flash", {"factor", "class", "shard"}},
+};
+
+const KindInfo* kind_info(FaultKind k) {
+  for (const KindInfo& i : kKinds)
+    if (i.kind == k) return &i;
+  return nullptr;
+}
+
+/// summary() rendering of one key; "" when it holds the omitted default.
+std::string field(const FaultEvent& e, std::string_view key) {
+  if (key == "extra") return std::to_string(e.extra);
+  if (key == "every") return std::to_string(e.every);
+  if (key == "factor") {
+    std::ostringstream f;
+    f << e.factor;
+    return f.str();
   }
-  return "?";
+  const int v = key == "src"   ? e.src
+                : key == "dst" ? e.dst
+                : key == "shard" ? e.shard
+                                 : e.cls;
+  return v >= 0 ? std::to_string(v) : "";
+}
+
+}  // namespace
+
+const char* to_string(FaultKind k) {
+  const KindInfo* i = kind_info(k);
+  return i ? i->name : "?";
 }
 
 bool FaultSpec::has(FaultKind k) const {
@@ -33,120 +70,73 @@ Tick FaultSpec::end_tick() const {
 }
 
 std::string FaultSpec::summary() const {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const FaultEvent& e = events[i];
-    if (i) os << ";";
-    os << to_string(e.kind) << "@" << e.start << "+" << e.duration;
-    std::vector<std::string> kv;
-    auto add = [&kv](const std::string& k, const std::string& v) {
-      kv.push_back(k + "=" + v);
-    };
-    if (e.kind == FaultKind::kLinkSpike) add("extra", std::to_string(e.extra));
-    if ((e.kind == FaultKind::kLinkSpike || e.kind == FaultKind::kPartition)) {
-      if (e.src >= 0) add("src", std::to_string(e.src));
-      if (e.dst >= 0) add("dst", std::to_string(e.dst));
+  std::string out;
+  for (const FaultEvent& e : events) {
+    if (!out.empty()) out += ';';
+    out += std::string(to_string(e.kind)) + "@" + std::to_string(e.start) +
+           "+" + std::to_string(e.duration);
+    char sep = ':';
+    for (std::string_view key : kind_info(e.kind)->keys) {
+      const std::string v = field(e, key);
+      if (v.empty()) continue;
+      out += sep + std::string(key) + "=" + v;
+      sep = ',';
     }
-    if (e.kind == FaultKind::kChanLoss || e.kind == FaultKind::kChanDup)
-      add("every", std::to_string(e.every));
-    if (e.kind == FaultKind::kFlashCrowd) {
-      std::ostringstream f;
-      f << e.factor;
-      add("factor", f.str());
-      if (e.cls >= 0) add("class", std::to_string(e.cls));
-    }
-    if (e.shard >= 0 && e.kind != FaultKind::kLinkSpike &&
-        e.kind != FaultKind::kPartition)
-      add("shard", std::to_string(e.shard));
-    for (std::size_t k = 0; k < kv.size(); ++k)
-      os << (k ? "," : ":") << kv[k];
   }
-  return os.str();
+  return out;
 }
 
 namespace {
 
-[[noreturn]] void fail(const std::string& clause, const std::string& why) {
-  throw std::invalid_argument("bad fault clause '" + clause + "': " + why);
-}
+constexpr std::uint64_t kMaxRandCount = 1 << 16;
 
-std::uint64_t parse_u64(const std::string& clause, const std::string& s) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
-    fail(clause, "expected a non-negative integer, got '" + s + "'");
-  return std::stoull(s);
-}
-
-double parse_f64(const std::string& clause, const std::string& s) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    fail(clause, "expected a number, got '" + s + "'");
+/// `rand:SEED[,COUNT[,HORIZON]]`, expanded in place.
+void read_rand(const parse::Clause& c, FaultSpec& spec) {
+  if (!c.when.empty()) throw std::invalid_argument("rand takes no '@' window");
+  if (c.items.empty() || c.items.size() > 3)
+    throw std::invalid_argument("rand takes SEED[,COUNT[,HORIZON]]");
+  const char* names[3] = {"seed", "count", "horizon"};
+  std::uint64_t args[3] = {0, 8, 200000};
+  for (std::size_t i = 0; i < c.items.size(); ++i) {
+    if (!c.items[i].key.empty())
+      throw std::invalid_argument("rand takes positional values only");
+    args[i] = parse::to_u64(c.items[i].value,
+                            i == 1 ? kMaxRandCount : UINT64_MAX, names[i]);
   }
+  const FaultSpec r =
+      FaultSpec::random(args[0], static_cast<int>(args[1]), args[2]);
+  spec.events.insert(spec.events.end(), r.events.begin(), r.events.end());
 }
 
-FaultEvent parse_clause(const std::string& clause) {
-  const auto at = clause.find('@');
-  if (at == std::string::npos) fail(clause, "missing '@start+duration'");
-  const std::string kind_s = clause.substr(0, at);
-  const auto colon = clause.find(':', at);
-  const std::string when =
-      clause.substr(at + 1, (colon == std::string::npos ? clause.size()
-                                                        : colon) - at - 1);
-  const auto plus = when.find('+');
-  if (plus == std::string::npos) fail(clause, "window must be START+DURATION");
-
+FaultEvent read_event(const parse::Clause& c) {
+  const KindInfo* kind = nullptr;
+  for (const KindInfo& i : kKinds)
+    if (c.head == i.name) kind = &i;
+  if (!kind) throw std::invalid_argument("unknown fault kind '" + c.head + "'");
+  c.allow(kind->keys);
   FaultEvent e;
-  if (kind_s == "spike") e.kind = FaultKind::kLinkSpike;
-  else if (kind_s == "partition") e.kind = FaultKind::kPartition;
-  else if (kind_s == "stall") e.kind = FaultKind::kDeviceStall;
-  else if (kind_s == "loss") e.kind = FaultKind::kChanLoss;
-  else if (kind_s == "dup") e.kind = FaultKind::kChanDup;
-  else if (kind_s == "flash") e.kind = FaultKind::kFlashCrowd;
-  else fail(clause, "unknown fault kind '" + kind_s + "'");
-
-  e.start = parse_u64(clause, when.substr(0, plus));
-  e.duration = parse_u64(clause, when.substr(plus + 1));
-  if (e.duration < 1) fail(clause, "duration must be >= 1");
-
-  if (colon != std::string::npos) {
-    std::string params = clause.substr(colon + 1);
-    std::istringstream ps(params);
-    std::string kv;
-    while (std::getline(ps, kv, ',')) {
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos) fail(clause, "parameter '" + kv +
-                                                    "' is not key=value");
-      const std::string k = kv.substr(0, eq), v = kv.substr(eq + 1);
-      if (k == "src") e.src = static_cast<int>(parse_u64(clause, v));
-      else if (k == "dst") e.dst = static_cast<int>(parse_u64(clause, v));
-      else if (k == "shard") e.shard = static_cast<int>(parse_u64(clause, v));
-      else if (k == "extra") e.extra = parse_u64(clause, v);
-      else if (k == "every")
-        e.every = static_cast<std::uint32_t>(parse_u64(clause, v));
-      else if (k == "class") e.cls = static_cast<int>(parse_u64(clause, v));
-      else if (k == "factor") e.factor = parse_f64(clause, v);
-      else fail(clause, "unknown parameter '" + k + "'");
-    }
-  }
-
-  switch (e.kind) {
-    case FaultKind::kLinkSpike:
-      if (e.extra < 1) fail(clause, "spike needs extra >= 1");
-      break;
-    case FaultKind::kChanLoss:
-    case FaultKind::kChanDup:
-      if (e.every < 1) fail(clause, "loss/dup need every >= 1");
-      break;
-    case FaultKind::kFlashCrowd:
-      if (e.factor <= 0.0) fail(clause, "flash needs factor > 0");
-      if (e.cls >= static_cast<int>(kQosClasses))
-        fail(clause, "class index out of range");
-      break;
-    default: break;
-  }
+  e.kind = kind->kind;
+  if (c.when.empty()) throw std::invalid_argument("missing '@START+DURATION'");
+  const auto window = parse::split(c.when, '+');
+  if (window.size() != 2)
+    throw std::invalid_argument("window must be START+DURATION");
+  e.start = parse::to_u64(window[0], UINT64_MAX, "start");
+  e.duration = parse::to_u64(window[1], UINT64_MAX - e.start, "duration");
+  if (e.duration < 1) throw std::invalid_argument("duration must be >= 1");
+  e.src = c.num("src", -1, 0, INT_MAX);
+  e.dst = c.num("dst", -1, 0, INT_MAX);
+  e.shard = c.num("shard", -1, 0, INT_MAX);
+  e.extra = c.u64("extra", 0);
+  e.every = static_cast<std::uint32_t>(c.u64("every", 0, UINT32_MAX));
+  e.cls = c.num("class", -1, 0, static_cast<int>(kQosClasses) - 1);
+  e.factor = c.f64("factor", 1.0);
+  if (e.kind == FaultKind::kLinkSpike && e.extra < 1)
+    throw std::invalid_argument("spike needs extra >= 1");
+  if ((e.kind == FaultKind::kChanLoss || e.kind == FaultKind::kChanDup) &&
+      e.every < 1)
+    throw std::invalid_argument("loss/dup need every >= 1");
+  if (e.kind == FaultKind::kFlashCrowd && e.factor <= 0.0)
+    throw std::invalid_argument("flash needs factor > 0");
   return e;
 }
 
@@ -154,28 +144,10 @@ FaultEvent parse_clause(const std::string& clause) {
 
 FaultSpec FaultSpec::parse(const std::string& text) {
   FaultSpec spec;
-  std::istringstream ss(text);
-  std::string clause;
-  while (std::getline(ss, clause, ';')) {
-    // Trim surrounding whitespace so shell-quoted lists read naturally.
-    const auto b = clause.find_first_not_of(" \t");
-    if (b == std::string::npos) continue;
-    clause = clause.substr(b, clause.find_last_not_of(" \t") - b + 1);
-    if (clause.rfind("rand:", 0) == 0) {
-      std::istringstream rs(clause.substr(5));
-      std::string part;
-      std::vector<std::uint64_t> args;
-      while (std::getline(rs, part, ','))
-        args.push_back(parse_u64(clause, part));
-      if (args.empty()) fail(clause, "rand needs a seed");
-      const int count = args.size() > 1 ? static_cast<int>(args[1]) : 8;
-      const Tick horizon = args.size() > 2 ? args[2] : 200000;
-      const FaultSpec r = random(args[0], count, horizon);
-      spec.events.insert(spec.events.end(), r.events.begin(), r.events.end());
-      continue;
-    }
-    spec.events.push_back(parse_clause(clause));
-  }
+  parse::for_each_clause(text, "fault spec", [&](const parse::Clause& c) {
+    if (c.head == "rand") read_rand(c, spec);
+    else spec.events.push_back(read_event(c));
+  });
   return spec;
 }
 

@@ -29,9 +29,16 @@
 //                                             8 events over 200000 ticks)
 //
 // Omitted src/dst/shard mean "every link/shard"; class is the QosClass
-// index (0 standard, 1 latency, 2 bulk), -1 = all classes. A `rand:`
-// clause expands deterministically at parse time — the expansion is part
-// of the spec's value, so two parses of the same string are equal.
+// index (0 standard, 1 latency, 2 bulk), omitted = all classes; omitted
+// factor is 1. A `rand:` clause expands deterministically at parse time —
+// the expansion is part of the spec's value, so two parses of the same
+// string are equal.
+//
+// Each kind accepts exactly the keys shown; any other key, a repeated key
+// or an empty item is an error. Fields are typed (common/parse.hpp):
+// START, DUR, T, SEED and HORIZON are unsigned decimals with START + DUR
+// within 64 bits; N fits 32 bits; COUNT <= 65536; A, B and K are
+// non-negative ints; C is 0..2; F is a finite decimal > 0.
 
 #include <cstdint>
 #include <string>
@@ -79,8 +86,8 @@ struct FaultSpec {
   /// One-line rendering in the parse grammar (round-trips through parse()).
   std::string summary() const;
 
-  /// Parse the grammar above. Throws std::invalid_argument with a
-  /// position-annotated message on malformed input.
+  /// Parse the grammar above. Throws std::invalid_argument reading
+  /// "fault spec: clause '<clause>' at byte <offset>: <reason>".
   static FaultSpec parse(const std::string& text);
 
   /// Deterministic pseudo-random schedule: `count` events drawn from

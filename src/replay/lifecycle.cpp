@@ -1,7 +1,10 @@
 #include "replay/lifecycle.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <stdexcept>
+
+#include "common/parse.hpp"
 
 namespace vl::replay {
 
@@ -41,77 +44,23 @@ std::string LifecycleSpec::summary() const {
   return out;
 }
 
-namespace {
-
-[[noreturn]] void bad(const std::string& clause, const char* why) {
-  throw std::invalid_argument("lifecycle spec: " + std::string(why) +
-                              " in clause '" + clause + "'");
-}
-
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && (s[b] == ' ' || s[b] == '\t')) ++b;
-  while (e > b && (s[e - 1] == ' ' || s[e - 1] == '\t')) --e;
-  return s.substr(b, e - b);
-}
-
-LifecycleEvent parse_clause(const std::string& clause) {
-  const std::size_t at = clause.find('@');
-  if (at == std::string::npos) bad(clause, "missing '@TICK'");
-  const std::string kind = clause.substr(0, at);
-  LifecycleEvent e;
-  if (kind == "join") e.kind = LifecycleEvent::Kind::kJoin;
-  else if (kind == "leave") e.kind = LifecycleEvent::Kind::kLeave;
-  else if (kind == "reconfig") e.kind = LifecycleEvent::Kind::kReconfig;
-  else bad(clause, "unknown event kind");
-
-  std::size_t colon = clause.find(':', at);
-  const std::string tick_s = clause.substr(
-      at + 1, (colon == std::string::npos ? clause.size() : colon) - at - 1);
-  if (tick_s.empty() ||
-      tick_s.find_first_not_of("0123456789") != std::string::npos)
-    bad(clause, "bad tick");
-  e.at = std::strtoull(tick_s.c_str(), nullptr, 10);
-
-  // key=value pairs after ':', comma-separated.
-  std::size_t p = colon == std::string::npos ? clause.size() : colon + 1;
-  while (p < clause.size()) {
-    std::size_t comma = clause.find(',', p);
-    if (comma == std::string::npos) comma = clause.size();
-    const std::string kv = clause.substr(p, comma - p);
-    p = comma + 1;
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string::npos) bad(clause, "expected key=value");
-    const std::string key = kv.substr(0, eq);
-    const std::string val = kv.substr(eq + 1);
-    if (key == "tenant" && e.kind != LifecycleEvent::Kind::kReconfig) {
-      if (val.empty()) bad(clause, "empty tenant name");
-      e.tenant = val;
-    } else if (key == "channel" &&
-               e.kind == LifecycleEvent::Kind::kReconfig) {
-      e.channel = static_cast<int>(std::strtol(val.c_str(), nullptr, 10));
-    } else {
-      bad(clause, "unknown key");
-    }
-  }
-  if (e.kind != LifecycleEvent::Kind::kReconfig && e.tenant.empty())
-    bad(clause, "join/leave need tenant=NAME");
-  return e;
-}
-
-}  // namespace
-
 LifecycleSpec LifecycleSpec::parse(const std::string& text) {
   LifecycleSpec spec;
-  std::size_t p = 0;
-  while (p <= text.size()) {
-    std::size_t semi = text.find(';', p);
-    if (semi == std::string::npos) semi = text.size();
-    const std::string clause = trim(text.substr(p, semi - p));
-    p = semi + 1;
-    if (clause.empty()) continue;
-    spec.events.push_back(parse_clause(clause));
-  }
+  parse::for_each_clause(text, "lifecycle spec", [&](const parse::Clause& c) {
+    LifecycleEvent e;
+    if (c.head == "join") e.kind = LifecycleEvent::Kind::kJoin;
+    else if (c.head == "leave") e.kind = LifecycleEvent::Kind::kLeave;
+    else if (c.head == "reconfig") e.kind = LifecycleEvent::Kind::kReconfig;
+    else throw std::invalid_argument("unknown event kind '" + c.head + "'");
+    e.at = parse::to_u64(c.when, UINT64_MAX, "tick");
+    const bool reconfig = e.kind == LifecycleEvent::Kind::kReconfig;
+    c.allow({reconfig ? "channel" : "tenant"});
+    e.channel = c.num("channel", -1, 0, INT_MAX);
+    if (const std::string* tenant = c.find("tenant")) e.tenant = *tenant;
+    if (!reconfig && e.tenant.empty())
+      throw std::invalid_argument("join/leave need tenant=NAME");
+    spec.events.push_back(std::move(e));
+  });
   return spec;
 }
 

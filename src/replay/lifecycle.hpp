@@ -11,7 +11,11 @@
 //                             demand and re-registers — the paper § III-B
 //                             migration path, VL backends only
 //
-// Clauses are semicolon-separated; a tenant whose FIRST event is a join
+// Clauses are semicolon-separated (tokenized by common/parse.hpp). Each
+// kind accepts only the key shown, at most once; TICK is an unsigned
+// decimal, C a non-negative int, NAME non-empty. Malformed input throws
+// std::invalid_argument reading "lifecycle spec: clause '<clause>' at
+// byte <offset>: <reason>". A tenant whose FIRST event is a join
 // starts inactive (it joins mid-run), otherwise it starts active and its
 // first leave quiesces it. Like FaultSpec, a LifecycleSpec is a dumb value
 // type — parse/summary round-trip, and the same spec replays the same
@@ -59,8 +63,7 @@ struct LifecycleSpec {
   bool has_churn() const;  ///< Any join/leave events.
   /// One-line rendering in the parse grammar (round-trips through parse()).
   std::string summary() const;
-  /// Parse the grammar above. Throws std::invalid_argument on malformed
-  /// input.
+  /// Parse the grammar above; see there for the error format.
   static LifecycleSpec parse(const std::string& text);
 };
 

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
+
+#include "common/parse.hpp"
 
 namespace vl::replay {
 
@@ -11,46 +15,38 @@ namespace {
 
 constexpr char kMagic[4] = {'V', 'L', 'T', 'R'};
 constexpr std::uint32_t kVersion = 1;
+/// tick, tenant, pid, cls, words, dst
+constexpr std::size_t kRecordBytes = 22;
+/// CSV data columns and each column's largest value.
+constexpr char kColumns[] = "tick,tenant,producer,class,words,dst";
+constexpr std::uint64_t kColumnMax[] = {UINT64_MAX, UINT16_MAX, UINT16_MAX,
+                                        kQosClasses - 1, 7, UINT64_MAX};
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+/// Little-endian fixed-width integer codec of the VLTR format.
+template <class T>
+void write_le(std::string& out, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    out.push_back(static_cast<char>(static_cast<std::uint64_t>(v) >> (8 * i)));
 }
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-std::uint32_t get_u32(const std::string& s, std::size_t& p) {
-  if (p + 4 > s.size()) throw std::invalid_argument("trace: truncated u32");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(s[p++]))
-         << (8 * i);
-  return v;
-}
-std::uint64_t get_u64(const std::string& s, std::size_t& p) {
-  if (p + 8 > s.size()) throw std::invalid_argument("trace: truncated u64");
+template <class T>
+T read_le(const std::string& s, std::size_t& p) {
+  if (p + sizeof(T) > s.size()) throw std::invalid_argument("trace: truncated");
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
+  for (std::size_t i = 0; i < sizeof(T); ++i)
     v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(s[p++]))
          << (8 * i);
-  return v;
+  return static_cast<T>(v);
 }
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
+void write_str(std::string& out, const std::string& s) {
+  write_le(out, static_cast<std::uint32_t>(s.size()));
   out += s;
 }
-std::string get_str(const std::string& s, std::size_t& p) {
-  const std::uint32_t n = get_u32(s, p);
+std::string read_str(const std::string& s, std::size_t& p) {
+  const auto n = read_le<std::uint32_t>(s, p);
   if (p + n > s.size()) throw std::invalid_argument("trace: truncated string");
   std::string v = s.substr(p, n);
   p += n;
   return v;
-}
-
-/// Metadata value of a `# key=value` comment line, or "" when absent.
-std::string meta_value(const std::string& line, const char* key) {
-  const std::string want = std::string("# ") + key + "=";
-  if (line.rfind(want, 0) != 0) return "";
-  return line.substr(want.size());
 }
 
 }  // namespace
@@ -63,7 +59,7 @@ std::string Trace::csv() const {
   out += "# producers=" + std::to_string(producers) + "\n";
   out += "# tenants=" + std::to_string(tenants) + "\n";
   out += "# sharded=" + std::to_string(sharded ? 1 : 0) + "\n";
-  out += "tick,tenant,producer,class,words,dst\n";
+  out += std::string(kColumns) + "\n";
   char buf[96];
   for (const auto& r : records) {
     std::snprintf(buf, sizeof buf, "%llu,%u,%u,%u,%u,%llu\n",
@@ -77,53 +73,55 @@ std::string Trace::csv() const {
 
 Trace Trace::parse_csv(const std::string& text) {
   Trace t;
-  std::size_t pos = 0;
+  const auto columns = parse::split(kColumns, ',');
+  std::size_t lineno = 0;
   bool header_seen = false;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
+  for (std::string_view l : parse::split(text, '\n')) {
+    const std::string line(l);
+    ++lineno;
     if (line.empty()) continue;
-    if (line[0] == '#') {
-      std::string v;
-      if (!(v = meta_value(line, "scenario")).empty()) t.scenario = v;
-      else if (!(v = meta_value(line, "backend")).empty()) t.backend = v;
-      else if (!(v = meta_value(line, "seed")).empty())
-        t.seed = std::strtoull(v.c_str(), nullptr, 10);
-      else if (!(v = meta_value(line, "producers")).empty())
-        t.producers = static_cast<std::uint32_t>(
-            std::strtoul(v.c_str(), nullptr, 10));
-      else if (!(v = meta_value(line, "tenants")).empty())
-        t.tenants = static_cast<std::uint32_t>(
-            std::strtoul(v.c_str(), nullptr, 10));
-      else if (!(v = meta_value(line, "sharded")).empty())
-        t.sharded = v == "1";
-      continue;
+    try {
+      if (line[0] == '#') {  // `# key=value` metadata; other comments skip
+        const std::size_t eq = line.find('=');
+        if (line.rfind("# ", 0) != 0 || eq == std::string::npos ||
+            eq + 1 == line.size())
+          continue;
+        const std::string key = line.substr(2, eq - 2), v = line.substr(eq + 1);
+        if (key == "scenario") t.scenario = v;
+        else if (key == "backend") t.backend = v;
+        else if (key == "seed") t.seed = parse::to_u64(v, UINT64_MAX, key);
+        else if (key == "producers")
+          t.producers =
+              static_cast<std::uint32_t>(parse::to_u64(v, UINT32_MAX, key));
+        else if (key == "tenants")
+          t.tenants =
+              static_cast<std::uint32_t>(parse::to_u64(v, UINT32_MAX, key));
+        else if (key == "sharded") t.sharded = parse::to_u64(v, 1, key) == 1;
+        continue;
+      }
+      if (!header_seen) {  // the column-name row
+        if (line != kColumns)
+          throw std::invalid_argument("expected the header row " +
+                                      std::string(kColumns));
+        header_seen = true;
+        continue;
+      }
+      const auto f = parse::split(line, ',');
+      if (f.size() != columns.size())
+        throw std::invalid_argument("expected 6 fields, got " +
+                                    std::to_string(f.size()));
+      std::uint64_t v[6];
+      for (std::size_t i = 0; i < 6; ++i)
+        v[i] = parse::to_u64(f[i], kColumnMax[i], columns[i]);
+      if (v[4] < 1) throw std::invalid_argument("words must be >= 1");
+      t.records.push_back({v[0], static_cast<std::uint16_t>(v[1]),
+                           static_cast<std::uint16_t>(v[2]),
+                           static_cast<QosClass>(v[3]),
+                           static_cast<std::uint8_t>(v[4]), v[5]});
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("trace csv: line " + std::to_string(lineno) +
+                                  ": " + e.what());
     }
-    if (!header_seen) {  // the column-name row
-      if (line.rfind("tick,", 0) != 0)
-        throw std::invalid_argument("trace csv: missing header row");
-      header_seen = true;
-      continue;
-    }
-    TraceRecord r;
-    unsigned long long tick = 0, dst = 0;
-    unsigned tenant = 0, pid = 0, cls = 0, words = 0;
-    if (std::sscanf(line.c_str(), "%llu,%u,%u,%u,%u,%llu", &tick, &tenant,
-                    &pid, &cls, &words, &dst) != 6)
-      throw std::invalid_argument("trace csv: bad row: " + line);
-    r.tick = tick;
-    r.tenant = static_cast<std::uint16_t>(tenant);
-    r.pid = static_cast<std::uint16_t>(pid);
-    if (cls >= kQosClasses)
-      throw std::invalid_argument("trace csv: bad class: " + line);
-    r.cls = static_cast<QosClass>(cls);
-    if (words < 1 || words > 7)
-      throw std::invalid_argument("trace csv: bad words: " + line);
-    r.words = static_cast<std::uint8_t>(words);
-    r.dst = dst;
-    t.records.push_back(r);
   }
   if (!header_seen)
     throw std::invalid_argument("trace csv: missing header row");
@@ -133,23 +131,21 @@ Trace Trace::parse_csv(const std::string& text) {
 std::string Trace::binary() const {
   std::string out;
   out.append(kMagic, sizeof kMagic);
-  put_u32(out, kVersion);
-  put_str(out, scenario);
-  put_str(out, backend);
-  put_u64(out, seed);
-  put_u32(out, producers);
-  put_u32(out, tenants);
-  out.push_back(sharded ? 1 : 0);
-  put_u64(out, records.size());
+  write_le(out, kVersion);
+  write_str(out, scenario);
+  write_str(out, backend);
+  write_le(out, seed);
+  write_le(out, producers);
+  write_le(out, tenants);
+  write_le<std::uint8_t>(out, sharded ? 1 : 0);
+  write_le<std::uint64_t>(out, records.size());
   for (const auto& r : records) {
-    put_u64(out, r.tick);
-    out.push_back(static_cast<char>(r.tenant));
-    out.push_back(static_cast<char>(r.tenant >> 8));
-    out.push_back(static_cast<char>(r.pid));
-    out.push_back(static_cast<char>(r.pid >> 8));
-    out.push_back(static_cast<char>(r.cls));
-    out.push_back(static_cast<char>(r.words));
-    put_u64(out, r.dst);
+    write_le(out, r.tick);
+    write_le(out, r.tenant);
+    write_le(out, r.pid);
+    write_le(out, static_cast<std::uint8_t>(r.cls));
+    write_le(out, r.words);
+    write_le(out, r.dst);
   }
   return out;
 }
@@ -158,41 +154,40 @@ Trace Trace::parse_binary(const std::string& bytes) {
   if (bytes.size() < 8 || std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0)
     throw std::invalid_argument("trace: bad magic (not a VLTR file)");
   std::size_t p = sizeof kMagic;
-  const std::uint32_t ver = get_u32(bytes, p);
+  const auto ver = read_le<std::uint32_t>(bytes, p);
   if (ver != kVersion)
     throw std::invalid_argument("trace: unsupported version " +
                                 std::to_string(ver));
   Trace t;
-  t.scenario = get_str(bytes, p);
-  t.backend = get_str(bytes, p);
-  t.seed = get_u64(bytes, p);
-  t.producers = get_u32(bytes, p);
-  t.tenants = get_u32(bytes, p);
-  if (p >= bytes.size()) throw std::invalid_argument("trace: truncated");
-  t.sharded = bytes[p++] != 0;
-  const std::uint64_t n = get_u64(bytes, p);
+  t.scenario = read_str(bytes, p);
+  t.backend = read_str(bytes, p);
+  t.seed = read_le<std::uint64_t>(bytes, p);
+  t.producers = read_le<std::uint32_t>(bytes, p);
+  t.tenants = read_le<std::uint32_t>(bytes, p);
+  const auto sharded = read_le<std::uint8_t>(bytes, p);
+  if (sharded > 1) throw std::invalid_argument("trace: bad sharded byte");
+  t.sharded = sharded == 1;
+  const auto n = read_le<std::uint64_t>(bytes, p);
+  if (n > (bytes.size() - p) / kRecordBytes)
+    throw std::invalid_argument("trace: record count " + std::to_string(n) +
+                                " exceeds the remaining bytes");
   t.records.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     TraceRecord r;
-    r.tick = get_u64(bytes, p);
-    if (p + 6 > bytes.size()) throw std::invalid_argument("trace: truncated");
-    r.tenant = static_cast<std::uint16_t>(
-        static_cast<std::uint8_t>(bytes[p]) |
-        (static_cast<std::uint8_t>(bytes[p + 1]) << 8));
-    r.pid = static_cast<std::uint16_t>(
-        static_cast<std::uint8_t>(bytes[p + 2]) |
-        (static_cast<std::uint8_t>(bytes[p + 3]) << 8));
-    const auto cls = static_cast<std::uint8_t>(bytes[p + 4]);
+    r.tick = read_le<std::uint64_t>(bytes, p);
+    r.tenant = read_le<std::uint16_t>(bytes, p);
+    r.pid = read_le<std::uint16_t>(bytes, p);
+    const auto cls = read_le<std::uint8_t>(bytes, p);
     if (cls >= kQosClasses)
       throw std::invalid_argument("trace: bad class byte");
     r.cls = static_cast<QosClass>(cls);
-    r.words = static_cast<std::uint8_t>(bytes[p + 5]);
+    r.words = read_le<std::uint8_t>(bytes, p);
     if (r.words < 1 || r.words > 7)
       throw std::invalid_argument("trace: bad words byte");
-    p += 6;
-    r.dst = get_u64(bytes, p);
+    r.dst = read_le<std::uint64_t>(bytes, p);
     t.records.push_back(r);
   }
+  if (p != bytes.size()) throw std::invalid_argument("trace: trailing bytes");
   return t;
 }
 
@@ -209,13 +204,10 @@ bool Trace::save(const std::string& path) const {
 }
 
 Trace Trace::load(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  std::ifstream f(path, std::ios::binary);
   if (!f) throw std::invalid_argument("trace: cannot open " + path);
-  std::string body;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) body.append(buf, n);
-  std::fclose(f);
+  const std::string body{std::istreambuf_iterator<char>(f),
+                         std::istreambuf_iterator<char>()};
   if (body.size() >= 4 && std::memcmp(body.data(), kMagic, 4) == 0)
     return parse_binary(body);
   return parse_csv(body);

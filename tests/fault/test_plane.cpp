@@ -49,7 +49,7 @@ TEST(FaultPlane, FaultRunIsByteIdenticalAcrossRepeats) {
 TEST(FaultPlane, DeviceStallLosesNothingAndStretchesTheRun) {
   const ScenarioSpec plain = *find_scenario("incast-burst");
   const ScenarioSpec stalled =
-      with_faults("incast-burst", "stall@20000+40000:every=1");
+      with_faults("incast-burst", "stall@20000+40000");
   const EngineResult base = run_spec(plain, Backend::kVl, 42);
   const EngineResult r = run_spec(stalled, Backend::kVl, 42);
 

@@ -91,6 +91,23 @@ TEST(FaultSpec, RejectsMalformedInput) {
   EXPECT_THROW(FaultSpec::parse("loss@1+2"), std::invalid_argument);   // every
   EXPECT_THROW(FaultSpec::parse("stall@1+2:bogus=3"), std::invalid_argument);
   EXPECT_THROW(FaultSpec::parse("flash@1+2:factor=x"), std::invalid_argument);
+  // Keys outside the kind's key set, and a tick that overflows 64 bits.
+  EXPECT_THROW(FaultSpec::parse("stall@1+2:every=1"), std::invalid_argument);
+  EXPECT_THROW(FaultSpec::parse("spike@1+2:extra=1,shard=0"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultSpec::parse("stall@18446744073709551616+1"),
+               std::invalid_argument);
+}
+
+TEST(FaultSpec, ErrorsNameTheClauseAndItsOffset) {
+  try {
+    FaultSpec::parse("stall@1+2; loss@5+5:every=0x3");
+    FAIL() << "accepted a malformed clause";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "fault spec: clause 'loss@5+5:every=0x3' at byte 11: "
+                 "every '0x3': expected an unsigned integer");
+  }
 }
 
 }  // namespace

@@ -43,6 +43,14 @@ TEST(LifecycleSpec, MalformedInputsThrow) {
   EXPECT_THROW(LifecycleSpec::parse("join@100"), std::invalid_argument);
   EXPECT_THROW(LifecycleSpec::parse("leave@xyz:tenant=a"),
                std::invalid_argument);
+  EXPECT_THROW(LifecycleSpec::parse("reconfig@5:channel=abc"),
+               std::invalid_argument);
+  EXPECT_THROW(LifecycleSpec::parse("reconfig@5:channel=-1"),
+               std::invalid_argument);
+  EXPECT_THROW(LifecycleSpec::parse("join@1:tenant=a,tenant=b"),
+               std::invalid_argument);
+  EXPECT_THROW(LifecycleSpec::parse("join@18446744073709551616:tenant=a"),
+               std::invalid_argument);
 }
 
 TEST(LifecyclePlane, WindowsAndNextActive) {

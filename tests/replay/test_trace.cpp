@@ -60,6 +60,27 @@ TEST(Trace, MalformedInputsThrow) {
   const std::string bin = sample_trace().binary();
   EXPECT_THROW(Trace::parse_binary(bin.substr(0, bin.size() - 3)),
                std::invalid_argument);
+  // Trailing bytes, a sharded byte other than 0/1, and a record count the
+  // remaining bytes cannot hold (checked before reserving).
+  EXPECT_THROW(Trace::parse_binary(bin + "junk"), std::invalid_argument);
+  const std::size_t count_at = bin.size() - 4 * 22 - 8;
+  std::string bad = bin;
+  bad[count_at - 1] = 7;
+  EXPECT_THROW(Trace::parse_binary(bad), std::invalid_argument);
+  bad = bin;
+  bad[count_at + 7] = 0x40;  // 2^62 + 4 records
+  EXPECT_THROW(Trace::parse_binary(bad), std::invalid_argument);
+  // CSV rows with trailing text, and tenant/pid beyond 16 bits.
+  const std::string csv = sample_trace().csv();
+  EXPECT_NO_THROW(Trace::parse_csv(csv + "1,0,0,0,1,0\n"));
+  EXPECT_THROW(Trace::parse_csv(csv + "1,0,0,0,1,0junk\n"),
+               std::invalid_argument);
+  EXPECT_THROW(Trace::parse_csv(csv + "1,0,0,0,1,0,9\n"),
+               std::invalid_argument);
+  EXPECT_THROW(Trace::parse_csv(csv + "1,65536,0,0,1,0\n"),
+               std::invalid_argument);
+  EXPECT_THROW(Trace::parse_csv(csv + "1,0,70000,0,1,0\n"),
+               std::invalid_argument);
   EXPECT_THROW(Trace::load("/nonexistent/trace.csv"), std::invalid_argument);
 }
 
