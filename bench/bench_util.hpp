@@ -130,13 +130,6 @@ inline void parse_flags(int argc, const char* const* argv,
 
 inline constexpr char kScaleHelp[] = "multiply the default problem size";
 
-/// The whole flag table of a bench whose only knob is --scale.
-inline int parse_scale_flag(int argc, char** argv, int def = 1) {
-  int scale = def;
-  parse_flags(argc, argv, {flag("--scale", &scale, 1, kScaleHelp)});
-  return scale;
-}
-
 /// Backends named by `--backend` ("all" = every backend); empty when the
 /// name is unknown.
 inline std::vector<squeue::Backend> parse_backends(const std::string& s) {

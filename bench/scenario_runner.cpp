@@ -23,6 +23,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -224,6 +225,17 @@ int main(int argc, char** argv) {
            "lifecycle events (replay/lifecycle.hpp grammar)"),
       flag("--warm-restart", &warm_restart, "run the warm-restart drill"),
   });
+  // --sweep runs its own grid of classic cells; name a single-cell flag it
+  // would otherwise ignore. (No flag value starts with "--".)
+  for (int i = 1; sweep && i < argc; ++i)
+    for (const char* f : {"--assert-slo", "--timeline", "--trace",
+                          "--metrics-json", "--record", "--replay", "--churn",
+                          "--shards", "--tenants", "--sim-threads", "--scale",
+                          "--warm-restart"})
+      if (std::string_view(argv[i]) == f) {
+        std::fprintf(stderr, "%s: --sweep ignores %s\n", argv[0], f);
+        return 2;
+      }
 
   if (list) {
     std::printf("scenario presets (--scenario NAME):\n");

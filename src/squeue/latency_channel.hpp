@@ -7,7 +7,8 @@
 // LatencyChannel wraps a backend and timestamps every message: the send
 // side appends the current tick as an extra payload word; the receive side
 // strips it and records (now - sent) in an exact sample store.
-// `bench/latency_tail` prints mean/P50/P99 per backend from this wrapper.
+// `bench_paper --figure latency-tail` prints mean/P50/P99 per backend from
+// this wrapper.
 //
 // The timestamp occupies one payload word, so wrapped messages may carry at
 // most 6 user dwords (the Fig. 10 line fits 7).

@@ -13,7 +13,7 @@
 // contention behaves as before.
 //
 // Note: SimCaf multi-word messages and these locks are exercised by the
-// lockhammer and pipeline benchmarks; see bench/fig02_lockhammer.
+// lockhammer and pipeline benchmarks; see `bench_paper --figure fig02`.
 
 #include <map>
 #include <memory>

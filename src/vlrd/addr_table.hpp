@@ -12,7 +12,8 @@
 // The table scheme instead hands out *compact* device pages (sequential
 // 4 KiB mappings) and resolves page -> (device, SQI) through a bounded CAM,
 // paying one extra cycle per vl_push/vl_fetch and one CAM row per mapped
-// page. `ablation_addressing` quantifies both sides of the trade.
+// page. `bench_paper --figure ablation-extensions` quantifies both sides of
+// the trade.
 
 #include <cstdint>
 #include <optional>

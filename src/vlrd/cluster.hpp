@@ -8,8 +8,8 @@
 // device-memory access to the device selected by the address's VLRD-id bit
 // field (Fig. 9). Every SQI lives on exactly one device, so separate VQs
 // never contend for the same prodBuf/consBuf/linkTab or address-mapping
-// pipeline — the scaling story the ablation bench (`ablation_multi_vlrd`)
-// quantifies for many-channel workloads like halo's 48 channels.
+// pipeline — the scaling story `bench_paper --figure ablation-extensions`
+// measures for many-channel workloads like halo's 48 channels.
 
 #include <memory>
 #include <optional>

@@ -44,8 +44,8 @@ struct RunConfig {
 
 /// Per-element compare cost that calibrates bitonic against Fig. 12's
 /// *absolute* speedup curve (communication amortized over a realistic
-/// comparison, not the seed's token cost). Shared by the fig12 bench and
-/// the absolute-speedup test.
+/// comparison, not the seed's token cost). Shared by
+/// `bench_paper --figure fig12` and the absolute-speedup test.
 inline constexpr Tick kFig12CompareCost = 24;
 
 /// A registered workload: the kernel, how many channels its graph uses

@@ -1,8 +1,8 @@
 // Integration tests: every *registered* workload completes correctly on
 // every queue backend (small scales — the benches run the full sizes), the
-// cross-backend relationships the paper reports hold in miniature, and the
-// Fig. 12 absolute-speedup curve lands near the paper with the calibrated
-// per-comparison cost.
+// cross-backend relationships the paper reports hold in miniature, the
+// Fig. 11 headline holds in direction, and the Fig. 12 absolute-speedup
+// curve lands near the paper with the calibrated per-comparison cost.
 
 #include <gtest/gtest.h>
 
@@ -168,6 +168,27 @@ TEST(WorkloadRelations, Fig12AbsoluteSpeedupNearPaperCurve) {
   EXPECT_NEAR(s3, 1.9, 0.45);
   EXPECT_NEAR(s7, 2.8, 0.45);
   EXPECT_GT(s7, s3);  // still gaining at 8 threads, as in the paper
+}
+
+TEST(WorkloadRelations, Fig11HeadlineVlBeatsBlfqAndCutsMemoryTraffic) {
+  // Fig. 11's direction at the bench's scale: VL64 beats BLFQ on all seven
+  // Table II kernels, and the average memory-traffic reduction lands
+  // within 5 points of the paper's 61%.
+  double reduction_pct = 0;
+  for (const char* name : {"ping-pong", "halo", "sweep", "incast", "FIR",
+                           "bitonic", "pipeline"}) {
+    RunConfig rc = default_config(name);
+    rc.backend = Backend::kBlfq;
+    const auto blfq = run(name, rc);
+    rc.backend = Backend::kVl;
+    const auto vl = run(name, rc);
+    EXPECT_LT(vl.ns, blfq.ns) << name;
+    ASSERT_GT(blfq.mem.mem_txns(), 0u) << name;
+    reduction_pct += 100.0 / 7 *
+                     (1.0 - static_cast<double>(vl.mem.mem_txns()) /
+                                static_cast<double>(blfq.mem.mem_txns()));
+  }
+  EXPECT_NEAR(reduction_pct, 61.0, 5.0);
 }
 
 TEST(WorkloadRelations, VlWinsCollectives) {
