@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -126,6 +127,30 @@ inline void parse_flags(int argc, const char* const* argv,
                  e.what());
     std::exit(2);
   }
+}
+
+/// For a mode that reads only some of a binary's flags: the first argv
+/// flag `ignored` accepts, printed as "PROG: MODE ignores FLAG" — the caller
+/// then exits 2. Call after parse_flags(), which guarantees that every argv
+/// token starting with "--" is a flag name (no value starts with "--").
+inline bool reject_ignored(int argc, const char* const* argv,
+                           const char* mode,
+                           const std::function<bool(std::string_view)>&
+                               ignored) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view a = argv[i];
+    if (a.substr(0, 2) == "--" && a != mode && ignored(a)) {
+      std::fprintf(stderr, "%s: %s ignores %s\n", argv[0], mode, argv[i]);
+      return true;
+    }
+  }
+  return false;
+}
+
+/// `a` is one of `names`.
+inline bool one_of(std::string_view a,
+                   std::initializer_list<std::string_view> names) {
+  return std::find(names.begin(), names.end(), a) != names.end();
 }
 
 inline constexpr char kScaleHelp[] = "multiply the default problem size";

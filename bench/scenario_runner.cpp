@@ -225,17 +225,22 @@ int main(int argc, char** argv) {
            "lifecycle events (replay/lifecycle.hpp grammar)"),
       flag("--warm-restart", &warm_restart, "run the warm-restart drill"),
   });
-  // --sweep runs its own grid of classic cells; name a single-cell flag it
-  // would otherwise ignore. (No flag value starts with "--".)
-  for (int i = 1; sweep && i < argc; ++i)
-    for (const char* f : {"--assert-slo", "--timeline", "--trace",
+  // --sweep runs its own grid of classic cells and the warm-restart drill
+  // reads only --backend and --seed: name a flag either would ignore.
+  using vl::bench::one_of;
+  using vl::bench::reject_ignored;
+  if (sweep && reject_ignored(argc, argv, "--sweep", [](std::string_view a) {
+        return one_of(a, {"--assert-slo", "--timeline", "--trace",
                           "--metrics-json", "--record", "--replay", "--churn",
                           "--shards", "--tenants", "--sim-threads", "--scale",
-                          "--warm-restart"})
-      if (std::string_view(argv[i]) == f) {
-        std::fprintf(stderr, "%s: --sweep ignores %s\n", argv[0], f);
-        return 2;
-      }
+                          "--warm-restart"});
+      }))
+    return 2;
+  if (warm_restart &&
+      reject_ignored(argc, argv, "--warm-restart", [](std::string_view a) {
+        return !one_of(a, {"--backend", "--seed"});
+      }))
+    return 2;
 
   if (list) {
     std::printf("scenario presets (--scenario NAME):\n");

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -339,6 +340,15 @@ int main(int argc, char** argv) {
                 "(record in memory, then replay the trace).\n");
     return 0;
   }
+  // The default matrix fixes each row's batch, shard count and supervisor.
+  if (scenario.empty() && backend_s.empty() &&
+      vl::bench::reject_ignored(
+          argc, argv, "the default matrix (no --scenario/--backend)",
+          [](std::string_view a) {
+            return vl::bench::one_of(a,
+                                     {"--shards", "--batch", "--no-supervisor"});
+          }))
+    return 2;
   if (!faults.empty())
     std::fprintf(stderr, "faults: %s\n", faults.summary().c_str());
 

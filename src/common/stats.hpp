@@ -1,5 +1,5 @@
 #pragma once
-// Lightweight named-counter and histogram facilities.
+// Lightweight named-counter and sample-statistics facilities.
 //
 // StatSet is the *snapshot* view of the telemetry system: a cold,
 // map-backed bag of named values that supports diff around a region of
@@ -74,41 +74,6 @@ class Summary {
  private:
   std::uint64_t n_ = 0;
   double mean_ = 0.0, m2_ = 0.0, min_ = 0.0, max_ = 0.0;
-};
-
-/// Fixed-bucket linear histogram for latency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets)
-      : lo_(lo), hi_(hi), counts_(buckets, 0) {}
-
-  void record(double x) {
-    summary_.record(x);
-    if (x < lo_) {
-      ++underflow_;
-    } else if (x >= hi_) {
-      ++overflow_;
-    } else {
-      const auto b = static_cast<std::size_t>(
-          (x - lo_) / (hi_ - lo_) * static_cast<double>(counts_.size()));
-      ++counts_[b];
-    }
-  }
-
-  const Summary& summary() const { return summary_; }
-  const std::vector<std::uint64_t>& buckets() const { return counts_; }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  double bucket_lo(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                     static_cast<double>(counts_.size());
-  }
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0;
-  Summary summary_;
 };
 
 /// Exact-percentile sample store. The simulator is deterministic and runs

@@ -26,35 +26,59 @@ sim::Co<void> VlPort::vl_select(int tid, Addr va) {
 }
 
 sim::Co<int> VlPort::vl_push(int tid, Addr dev_va) {
+  return issue_latched(tid, dev_va, &VlPort::push_run);
+}
+
+sim::Co<int> VlPort::vl_fetch(int tid, Addr dev_va) {
+  return issue_latched(tid, dev_va, &VlPort::fetch_run);
+}
+
+sim::Co<int> VlPort::vl_select_push(int tid, std::span<const Addr> vas,
+                                    Addr dev_va, std::size_t* accepted) {
+  return issue_run(tid, vas, dev_va, accepted, &VlPort::push_run);
+}
+
+sim::Co<int> VlPort::vl_select_fetch(int tid, std::span<const Addr> vas,
+                                     Addr dev_va, std::size_t* registered) {
+  return issue_run(tid, vas, dev_va, registered, &VlPort::fetch_run);
+}
+
+sim::Co<int> VlPort::issue_latched(int tid, Addr dev_va, Tail tail) {
   co_await core_.acquire_port(tid);
   co_await sim::Delay(core_.eq(), core_.cfg().issue_cost);
-  auto it = latched_.find(tid);
-  if (it == latched_.end()) {
-    core_.release_port();
-    co_return kVlNoSelection;
+  int rc = kVlNoSelection;
+  if (auto it = latched_.find(tid); it != latched_.end()) {
+    const Addr line = it->second;
+    latched_.erase(it);  // selection ends on completion either way
+    std::size_t done = 0;
+    rc = co_await (this->*tail)(std::span<const Addr>(&line, 1), dev_va,
+                                &done);
   }
-  const Addr line = it->second;
-  latched_.erase(it);  // selection ends on completion either way
-  const int rc = co_await push_selected(line, dev_va);
   core_.release_port();
   co_return rc;
 }
 
-sim::Co<int> VlPort::vl_select_push(int tid, Addr va, Addr dev_va) {
+sim::Co<int> VlPort::issue_run(int tid, std::span<const Addr> vas,
+                               Addr dev_va, std::size_t* done, Tail tail) {
+  *done = 0;
+  if (vas.empty()) co_return kVlOk;
   co_await core_.acquire_port(tid);
   co_await sim::Delay(core_.eq(), core_.cfg().issue_cost);
-  latched_.erase(tid);  // the select overwrites any earlier latch
-  const Tick lat = hier_.select_line(core_.id(), line_of(va));
-  co_await sim::Delay(core_.eq(), lat);
+  latched_.erase(tid);  // the run leaves no latched selection
+  // Select every line of the run: each fill into Exclusive is real cache
+  // work and is paid per line.
+  for (const Addr va : vas) {
+    const Tick lat = hier_.select_line(core_.id(), line_of(va));
+    co_await sim::Delay(core_.eq(), lat);
+  }
   co_await sim::Delay(core_.eq(), core_.cfg().issue_cost);
-  const int rc = co_await push_selected(line_of(va), dev_va);
+  const int rc = co_await (this->*tail)(vas, dev_va, done);
   core_.release_port();
   co_return rc;
 }
 
-sim::Co<int> VlPort::push_selected(Addr line, Addr dev_va) {
-  mem::Line data;
-  hier_.peek_line(line, data.data());
+sim::Co<int> VlPort::push_run(std::span<const Addr> vas, Addr dev_va,
+                              std::size_t* accepted) {
   // Resolve the endpoint address; the CAM scheme costs one extra pipeline
   // cycle per access and can fault on an unmapped page (§ III-C2).
   if (cfg_.addressing == sim::Addressing::kAddrTable)
@@ -62,199 +86,61 @@ sim::Co<int> VlPort::push_selected(Addr line, Addr dev_va) {
   const auto res = devs_.resolve(dev_va);
   if (!res) co_return kVlFault;
   vlrd::Vlrd& dev = *res->first;
-  const Sqi sqi = res->second;
-
-  bool ack;
+  // Non-snooping device write: one bus hop out for the whole run.
+  if (!cfg_.ideal)
+    co_await sim::DelayUntil(core_.eq(), hier_.device_hop(0));
   vlrd::Vlrd::PushNack nack = vlrd::Vlrd::PushNack::kNone;
-  if (cfg_.ideal) {
-    ack = dev.push(sqi, data);  // zero-latency reference model
-  } else {
-    // Non-snooping device write: one bus hop out, bounded device response.
-    const Tick arrive = hier_.device_hop(0);
-    co_await sim::DelayUntil(core_.eq(), arrive);
-    ack = dev.push(sqi, data);
-    // Latch the NACK reason before suspending for the response delay —
-    // another core's push to the same device lands in that window and
-    // overwrites the device-side status.
-    if (!ack) nack = dev.last_push_nack();
-    const Tick resp = cfg_.device_lat > hier_.cfg().bus_hop
-                          ? cfg_.device_lat - hier_.cfg().bus_hop
-                          : 0;
-    co_await sim::Delay(core_.eq(), resp);
-  }
-
-  if (ack) {
-    // Copy-over leaves the producer line zeroed and Exclusive, ready for
-    // the next enqueue without any further coherence traffic.
-    hier_.zero_and_exclusive(core_.id(), line);
-    co_return kVlOk;
-  }
-  co_return nack == vlrd::Vlrd::PushNack::kQuota ? kVlNackQuota : kVlNack;
-}
-
-sim::Co<int> VlPort::vl_select_push_burst(int tid, std::span<const Addr> vas,
-                                          Addr dev_va,
-                                          std::size_t* accepted) {
-  *accepted = 0;
-  if (vas.empty()) co_return kVlOk;
-  co_await core_.acquire_port(tid);
-  co_await sim::Delay(core_.eq(), core_.cfg().issue_cost);
-  latched_.erase(tid);  // burst completion leaves no latched selection
-  // Select every line of the run: each fill into Exclusive is real cache
-  // work and is paid per line, burst or not.
-  for (const Addr va : vas) {
-    const Tick lat = hier_.select_line(core_.id(), line_of(va));
-    co_await sim::Delay(core_.eq(), lat);
-  }
-  co_await sim::Delay(core_.eq(), core_.cfg().issue_cost);
-  if (cfg_.addressing == sim::Addressing::kAddrTable)
-    co_await sim::Delay(core_.eq(), cfg_.addr_table_extra);
-  const auto res = devs_.resolve(dev_va);
-  if (!res) {
-    core_.release_port();
-    co_return kVlFault;
-  }
-  vlrd::Vlrd& dev = *res->first;
-  const Sqi sqi = res->second;
-
-  vlrd::Vlrd::PushNack nack = vlrd::Vlrd::PushNack::kNone;
-  if (!cfg_.ideal) {
-    // One bus transit for the whole run — the burst's amortization.
-    const Tick arrive = hier_.device_hop(0);
-    co_await sim::DelayUntil(core_.eq(), arrive);
-  }
-  for (const Addr va : vas) {
+  for (; *accepted < vas.size(); ++*accepted) {
     mem::Line data;
-    hier_.peek_line(line_of(va), data.data());
-    if (!dev.push(sqi, data)) {
+    hier_.peek_line(line_of(vas[*accepted]), data.data());
+    if (!dev.push(res->second, data)) {
+      // Latch the NACK reason before suspending for the response — another
+      // core's push to the same device lands in that window and overwrites
+      // the device-side status.
       nack = dev.last_push_nack();
       break;
     }
-    // Copy-over leaves the producer line zeroed and Exclusive, ready for
-    // the next enqueue without any further coherence traffic.
-    hier_.zero_and_exclusive(core_.id(), line_of(va));
-    ++*accepted;
   }
-  if (!cfg_.ideal) {
-    const Tick resp = cfg_.device_lat > hier_.cfg().bus_hop
-                          ? cfg_.device_lat - hier_.cfg().bus_hop
-                          : 0;
-    co_await sim::Delay(core_.eq(), resp);
-  }
-  core_.release_port();
+  co_await response();
+  // Copy-over leaves each accepted line zeroed and Exclusive, ready for the
+  // next enqueue without any further coherence traffic.
+  for (std::size_t i = 0; i < *accepted; ++i)
+    hier_.zero_and_exclusive(core_.id(), line_of(vas[i]));
   if (*accepted == vas.size()) co_return kVlOk;
   co_return nack == vlrd::Vlrd::PushNack::kQuota ? kVlNackQuota : kVlNack;
 }
 
-sim::Co<int> VlPort::vl_select_fetch_burst(int tid, std::span<const Addr> vas,
-                                           Addr dev_va,
-                                           std::size_t* registered) {
-  *registered = 0;
-  if (vas.empty()) co_return kVlOk;
-  co_await core_.acquire_port(tid);
-  co_await sim::Delay(core_.eq(), core_.cfg().issue_cost);
-  latched_.erase(tid);
-  for (const Addr va : vas) {
-    const Tick lat = hier_.select_line(core_.id(), line_of(va));
-    co_await sim::Delay(core_.eq(), lat);
-  }
-  co_await sim::Delay(core_.eq(), core_.cfg().issue_cost);
+sim::Co<int> VlPort::fetch_run(std::span<const Addr> vas, Addr dev_va,
+                               std::size_t* registered) {
+  // Tag the lines as the instruction issues, stopping at one that left the
+  // cache since its select.
+  std::size_t tagged = 0;
+  while (tagged < vas.size() &&
+         hier_.set_pushable(core_.id(), line_of(vas[tagged]), true))
+    ++tagged;
+  int rc = tagged == vas.size() ? kVlOk : kVlEvicted;
+  if (tagged == 0) co_return rc;
   if (cfg_.addressing == sim::Addressing::kAddrTable)
     co_await sim::Delay(core_.eq(), cfg_.addr_table_extra);
-  const auto res = devs_.resolve(dev_va);
-  if (!res) {
-    core_.release_port();
-    co_return kVlFault;
-  }
-  vlrd::Vlrd& dev = *res->first;
-  const Sqi sqi = res->second;
-
-  if (!cfg_.ideal) {
-    const Tick arrive = hier_.device_hop(0);
-    co_await sim::DelayUntil(core_.eq(), arrive);
-  }
-  // Register demand in line order, stopping at the first refusal so the
-  // device's request FIFO stays a contiguous ring-order prefix (injections
-  // must land in the order the consumer's polls visit the lines).
-  int rc = kVlOk;
-  for (const Addr va : vas) {
-    const Addr line = line_of(va);
-    if (!hier_.set_pushable(core_.id(), line, true)) {
-      rc = kVlEvicted;  // line left the cache since its select
-      break;
-    }
-    if (!dev.fetch(sqi, line, core_.id())) {
-      hier_.set_pushable(core_.id(), line, false);
-      rc = kVlNack;  // consBuf full
-      break;
-    }
-    ++*registered;
-  }
-  if (!cfg_.ideal) {
-    const Tick resp = cfg_.device_lat > hier_.cfg().bus_hop
-                          ? cfg_.device_lat - hier_.cfg().bus_hop
-                          : 0;
-    co_await sim::Delay(core_.eq(), resp);
-  }
-  core_.release_port();
-  co_return *registered == vas.size() ? kVlOk : rc;
-}
-
-sim::Co<int> VlPort::vl_fetch(int tid, Addr dev_va) {
-  co_await core_.acquire_port(tid);
-  co_await sim::Delay(core_.eq(), core_.cfg().issue_cost);
-  auto it = latched_.find(tid);
-  if (it == latched_.end()) {
-    core_.release_port();
-    co_return kVlNoSelection;
-  }
-  const Addr line = it->second;
-  latched_.erase(it);
-  const int rc = co_await fetch_selected(line, dev_va);
-  core_.release_port();
-  co_return rc;
-}
-
-sim::Co<int> VlPort::vl_select_fetch(int tid, Addr va, Addr dev_va) {
-  co_await core_.acquire_port(tid);
-  co_await sim::Delay(core_.eq(), core_.cfg().issue_cost);
-  latched_.erase(tid);  // the select overwrites any earlier latch
-  const Tick lat = hier_.select_line(core_.id(), line_of(va));
-  co_await sim::Delay(core_.eq(), lat);
-  co_await sim::Delay(core_.eq(), core_.cfg().issue_cost);
-  const int rc = co_await fetch_selected(line_of(va), dev_va);
-  core_.release_port();
-  co_return rc;
-}
-
-sim::Co<int> VlPort::fetch_selected(Addr line, Addr dev_va) {
-  if (!hier_.set_pushable(core_.id(), line, true))
-    co_return kVlEvicted;  // line left the cache since vl_select
-  if (cfg_.addressing == sim::Addressing::kAddrTable)
-    co_await sim::Delay(core_.eq(), cfg_.addr_table_extra);
-  const auto res = devs_.resolve(dev_va);
-  if (!res) {
-    hier_.set_pushable(core_.id(), line, false);
-    co_return kVlFault;
-  }
-  vlrd::Vlrd& dev = *res->first;
-  const Sqi sqi = res->second;
-
-  bool ack;
-  if (cfg_.ideal) {
-    ack = dev.fetch(sqi, line, core_.id());
+  if (const auto res = devs_.resolve(dev_va)) {
+    if (!cfg_.ideal)
+      co_await sim::DelayUntil(core_.eq(), hier_.device_hop(0));
+    // Register demand in line order, stopping at the first refusal so the
+    // device's request FIFO stays a contiguous ring-order prefix
+    // (injections must land in the order the consumer's polls visit the
+    // lines).
+    while (*registered < tagged &&
+           res->first->fetch(res->second, line_of(vas[*registered]),
+                             core_.id()))
+      ++*registered;
+    if (*registered < tagged) rc = kVlNack;  // consBuf full
+    co_await response();
   } else {
-    const Tick arrive = hier_.device_hop(0);
-    co_await sim::DelayUntil(core_.eq(), arrive);
-    ack = dev.fetch(sqi, line, core_.id());
-    const Tick resp = cfg_.device_lat > hier_.cfg().bus_hop
-                          ? cfg_.device_lat - hier_.cfg().bus_hop
-                          : 0;
-    co_await sim::Delay(core_.eq(), resp);
+    rc = kVlFault;
   }
-
-  if (!ack) hier_.set_pushable(core_.id(), line, false);
-  co_return ack ? kVlOk : kVlNack;
+  for (std::size_t i = *registered; i < tagged; ++i)
+    hier_.set_pushable(core_.id(), line_of(vas[i]), false);
+  co_return rc;
 }
 
 }  // namespace vl::isa

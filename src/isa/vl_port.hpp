@@ -19,6 +19,25 @@
 // response arrives, modelling the paper's guarantee that no context swap or
 // interrupt can occur before Rs receives the result. Context switches clear
 // the per-thread selection latch and all pushable bits in the core's L1.
+//
+// One device transaction per direction. Every push — a latched vl_push or
+// a fused select+push run — goes through push_run(); every fetch through
+// fetch_run(). A single message is a run of one. Each transaction is one
+// resolve, one outbound bus transit, one device arrival (the direction's
+// single device-time stamp point) and one response, in this order:
+//
+//   push:  resolve -> transit -> device admits the lines in order, NACKing
+//          at the first that does not fit -> response -> the core zeroes
+//          each accepted line (Exclusive, ready for the next enqueue).
+//   fetch: pushable tags set on the lines as the instruction issues ->
+//          resolve -> transit -> device registers demand in order,
+//          stopping at the first refusal -> response -> the core drops the
+//          tags of the lines the device did not register.
+//
+// The tag goes up before the request leaves the core (§ III-B), so an
+// injection can never arrive ahead of the tag that admits it. The core
+// acts on the device's answer — zeroing, tag clearing — when the response
+// reaches it.
 
 #include <span>
 #include <unordered_map>
@@ -54,38 +73,52 @@ class VlPort {
   sim::Co<int> vl_push(int tid, Addr dev_va);
   sim::Co<int> vl_fetch(int tid, Addr dev_va);
 
-  // Fused select+op pairs: the two instructions issue back-to-back in one
-  // scheduling quantum (one port hold), the way a real thread executes
-  // them. Issuing them as separate port transactions is also legal — but
-  // when two endpoint threads time-share a core, the FIFO issue port then
-  // interleaves their ops, and every context switch clears the selection
-  // latch before the second instruction reads it: neither thread can ever
-  // complete a pair (a livelock the paper's FIR discussion does not
-  // intend — real timeslices span many instructions).
-  sim::Co<int> vl_select_push(int tid, Addr va, Addr dev_va);
-  sim::Co<int> vl_select_fetch(int tid, Addr va, Addr dev_va);
-
-  // Burst forms (Channel API v2 batching): the select+op pair sequence for
-  // a run of lines issues as one macro-op — one port hold, one bus transit,
-  // one device arrival, one response. The device admits the run under a
-  // single prodBuf/quota acquisition, NACKing at the first line that does
-  // not fit; `*accepted` / `*registered` receive the length of the admitted
-  // prefix. The per-line work that carries the paper's cost model — cache
-  // fills of each selected line, per-line device buffer occupancy — is
-  // unchanged; only the per-message instruction/transit overhead amortizes.
-  sim::Co<int> vl_select_push_burst(int tid, std::span<const Addr> vas,
-                                    Addr dev_va, std::size_t* accepted);
-  sim::Co<int> vl_select_fetch_burst(int tid, std::span<const Addr> vas,
-                                     Addr dev_va, std::size_t* registered);
+  // Fused select+op runs: the select+op pairs for a run of lines issue as
+  // one macro-op in one scheduling quantum (one port hold), the way a real
+  // thread executes them. Issuing them as separate port transactions is
+  // also legal — but when two endpoint threads time-share a core, the FIFO
+  // issue port then interleaves their ops, and every context switch clears
+  // the selection latch before the second instruction reads it: neither
+  // thread can ever complete a pair (a livelock the paper's FIR discussion
+  // does not intend — real timeslices span many instructions).
+  //
+  // The device admits a push run under a single prodBuf/quota acquisition
+  // and registers a fetch run's demand as a contiguous prefix; `*accepted`
+  // / `*registered` receive the prefix length. The per-line work that
+  // carries the paper's cost model — each selected line's cache fill,
+  // per-line device buffer occupancy — is paid per line; only the
+  // per-message instruction/transit overhead amortizes.
+  sim::Co<int> vl_select_push(int tid, std::span<const Addr> vas, Addr dev_va,
+                              std::size_t* accepted);
+  sim::Co<int> vl_select_fetch(int tid, std::span<const Addr> vas,
+                               Addr dev_va, std::size_t* registered);
 
   /// True if `tid` currently holds a selection (test helper).
   bool has_selection(int tid) const { return latched_.count(tid) != 0; }
 
  private:
-  /// vl_push tail: the port is already held and `line` latched.
-  sim::Co<int> push_selected(Addr line, Addr dev_va);
-  /// vl_fetch tail: the port is already held and `line` latched.
-  sim::Co<int> fetch_selected(Addr line, Addr dev_va);
+  /// A device tail: the port is held and `vas`' lines are selected.
+  using Tail = sim::Co<int> (VlPort::*)(std::span<const Addr> vas,
+                                        Addr dev_va, std::size_t* done);
+  sim::Co<int> issue_latched(int tid, Addr dev_va, Tail tail);
+  sim::Co<int> issue_run(int tid, std::span<const Addr> vas, Addr dev_va,
+                         std::size_t* done, Tail tail);
+
+  /// The one vl_push device transaction.
+  sim::Co<int> push_run(std::span<const Addr> vas, Addr dev_va,
+                        std::size_t* accepted);
+  /// The one vl_fetch device transaction.
+  sim::Co<int> fetch_run(std::span<const Addr> vas, Addr dev_va,
+                         std::size_t* registered);
+
+  /// Response leg: the device latency left after the outbound hop (none in
+  /// the ideal model).
+  sim::Delay response() const {
+    const Tick hop = hier_.cfg().bus_hop;
+    return sim::Delay(core_.eq(), cfg_.ideal || cfg_.device_lat <= hop
+                                      ? 0
+                                      : cfg_.device_lat - hop);
+  }
 
   sim::Core& core_;
   mem::Hierarchy& hier_;

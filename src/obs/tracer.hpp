@@ -20,9 +20,7 @@
 // barrier. No locks, no sorting pass, no timestamps from the host clock.
 //
 // Overhead: hooks test a TraceBuffer* that is nullptr unless --trace is
-// given; configuring with -DVL_OBS_NO_TRACE=ON compiles the pointer away
-// entirely (EventQueue::trace() becomes constexpr nullptr and every hook
-// folds to nothing).
+// given.
 //
 // Strings: cat/name/arg_name are const char* and must be string literals
 // (or otherwise outlive the tracer) — events store the pointer, not a copy,

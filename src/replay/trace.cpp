@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "common/parse.hpp"
+#include "replay/wire.hpp"
 
 namespace vl::replay {
 
@@ -21,33 +22,6 @@ constexpr std::size_t kRecordBytes = 22;
 constexpr char kColumns[] = "tick,tenant,producer,class,words,dst";
 constexpr std::uint64_t kColumnMax[] = {UINT64_MAX, UINT16_MAX, UINT16_MAX,
                                         kQosClasses - 1, 7, UINT64_MAX};
-
-/// Little-endian fixed-width integer codec of the VLTR format.
-template <class T>
-void write_le(std::string& out, T v) {
-  for (std::size_t i = 0; i < sizeof(T); ++i)
-    out.push_back(static_cast<char>(static_cast<std::uint64_t>(v) >> (8 * i)));
-}
-template <class T>
-T read_le(const std::string& s, std::size_t& p) {
-  if (p + sizeof(T) > s.size()) throw std::invalid_argument("trace: truncated");
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i)
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(s[p++]))
-         << (8 * i);
-  return static_cast<T>(v);
-}
-void write_str(std::string& out, const std::string& s) {
-  write_le(out, static_cast<std::uint32_t>(s.size()));
-  out += s;
-}
-std::string read_str(const std::string& s, std::size_t& p) {
-  const auto n = read_le<std::uint32_t>(s, p);
-  if (p + n > s.size()) throw std::invalid_argument("trace: truncated string");
-  std::string v = s.substr(p, n);
-  p += n;
-  return v;
-}
 
 }  // namespace
 
@@ -129,23 +103,24 @@ Trace Trace::parse_csv(const std::string& text) {
 }
 
 std::string Trace::binary() const {
+  using wire::put;
   std::string out;
   out.append(kMagic, sizeof kMagic);
-  write_le(out, kVersion);
-  write_str(out, scenario);
-  write_str(out, backend);
-  write_le(out, seed);
-  write_le(out, producers);
-  write_le(out, tenants);
-  write_le<std::uint8_t>(out, sharded ? 1 : 0);
-  write_le<std::uint64_t>(out, records.size());
+  put(out, kVersion);
+  wire::put_str(out, scenario);
+  wire::put_str(out, backend);
+  put(out, seed);
+  put(out, producers);
+  put(out, tenants);
+  put<std::uint8_t>(out, sharded ? 1 : 0);
+  put<std::uint64_t>(out, records.size());
   for (const auto& r : records) {
-    write_le(out, r.tick);
-    write_le(out, r.tenant);
-    write_le(out, r.pid);
-    write_le(out, static_cast<std::uint8_t>(r.cls));
-    write_le(out, r.words);
-    write_le(out, r.dst);
+    put(out, r.tick);
+    put(out, r.tenant);
+    put(out, r.pid);
+    put(out, static_cast<std::uint8_t>(r.cls));
+    put(out, r.words);
+    put(out, r.dst);
   }
   return out;
 }
@@ -153,41 +128,38 @@ std::string Trace::binary() const {
 Trace Trace::parse_binary(const std::string& bytes) {
   if (bytes.size() < 8 || std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0)
     throw std::invalid_argument("trace: bad magic (not a VLTR file)");
-  std::size_t p = sizeof kMagic;
-  const auto ver = read_le<std::uint32_t>(bytes, p);
-  if (ver != kVersion)
-    throw std::invalid_argument("trace: unsupported version " +
-                                std::to_string(ver));
+  wire::Reader in(bytes, "trace");
+  in.skip(sizeof kMagic);
+  const auto ver = in.get<std::uint32_t>();
+  if (ver != kVersion) in.fail("unsupported version " + std::to_string(ver));
   Trace t;
-  t.scenario = read_str(bytes, p);
-  t.backend = read_str(bytes, p);
-  t.seed = read_le<std::uint64_t>(bytes, p);
-  t.producers = read_le<std::uint32_t>(bytes, p);
-  t.tenants = read_le<std::uint32_t>(bytes, p);
-  const auto sharded = read_le<std::uint8_t>(bytes, p);
-  if (sharded > 1) throw std::invalid_argument("trace: bad sharded byte");
+  t.scenario = in.str();
+  t.backend = in.str();
+  t.seed = in.get<std::uint64_t>();
+  t.producers = in.get<std::uint32_t>();
+  t.tenants = in.get<std::uint32_t>();
+  const auto sharded = in.get<std::uint8_t>();
+  if (sharded > 1) in.fail("bad sharded byte");
   t.sharded = sharded == 1;
-  const auto n = read_le<std::uint64_t>(bytes, p);
-  if (n > (bytes.size() - p) / kRecordBytes)
-    throw std::invalid_argument("trace: record count " + std::to_string(n) +
-                                " exceeds the remaining bytes");
+  const auto n = in.get<std::uint64_t>();
+  if (n > in.remaining() / kRecordBytes)
+    in.fail("record count " + std::to_string(n) +
+            " exceeds the remaining bytes");
   t.records.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     TraceRecord r;
-    r.tick = read_le<std::uint64_t>(bytes, p);
-    r.tenant = read_le<std::uint16_t>(bytes, p);
-    r.pid = read_le<std::uint16_t>(bytes, p);
-    const auto cls = read_le<std::uint8_t>(bytes, p);
-    if (cls >= kQosClasses)
-      throw std::invalid_argument("trace: bad class byte");
+    r.tick = in.get<std::uint64_t>();
+    r.tenant = in.get<std::uint16_t>();
+    r.pid = in.get<std::uint16_t>();
+    const auto cls = in.get<std::uint8_t>();
+    if (cls >= kQosClasses) in.fail("bad class byte");
     r.cls = static_cast<QosClass>(cls);
-    r.words = read_le<std::uint8_t>(bytes, p);
-    if (r.words < 1 || r.words > 7)
-      throw std::invalid_argument("trace: bad words byte");
-    r.dst = read_le<std::uint64_t>(bytes, p);
+    r.words = in.get<std::uint8_t>();
+    if (r.words < 1 || r.words > 7) in.fail("bad words byte");
+    r.dst = in.get<std::uint64_t>();
     t.records.push_back(r);
   }
-  if (p != bytes.size()) throw std::invalid_argument("trace: trailing bytes");
+  in.finish();
   return t;
 }
 

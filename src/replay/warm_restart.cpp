@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "replay/wire.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/vl_queue.hpp"
 #include "sim/task.hpp"
@@ -13,58 +14,6 @@
 
 namespace vl::replay {
 namespace {
-
-// --- little-endian wire helpers (same discipline as trace.cpp) -------------
-
-void put32(std::string& s, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-void put64(std::string& s, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-void put_str(std::string& s, const std::string& v) {
-  put32(s, static_cast<std::uint32_t>(v.size()));
-  s.append(v);
-}
-
-struct Reader {
-  const std::string& s;
-  std::size_t off = 0;
-
-  void need(std::size_t n) const {
-    if (off + n > s.size())
-      throw std::invalid_argument("warm-restart snapshot: truncated");
-  }
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(s[off++]);
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(s[off++]))
-           << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(s[off++]))
-           << (8 * i);
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string v = s.substr(off, n);
-    off += n;
-    return v;
-  }
-};
 
 constexpr char kMagic[4] = {'V', 'L', 'S', 'S'};
 constexpr std::uint32_t kVersion = 1;
@@ -400,67 +349,65 @@ WarmRestartReport caf_drill(std::uint64_t seed) {
 // --- Snapshot wire format ---------------------------------------------------
 
 std::string Snapshot::serialize() const {
+  using wire::put;
   std::string s(kMagic, sizeof(kMagic));
-  put32(s, kVersion);
-  put_str(s, backend);
-  for (std::size_t i = 0; i < kQosClasses; ++i) put32(s, vl_class_quota[i]);
-  put32(s, vl_per_sqi_quota);
-  for (std::size_t i = 0; i < kQosClasses; ++i) put32(s, caf_class_credits[i]);
-  put32(s, static_cast<std::uint32_t>(queues.size()));
+  put(s, kVersion);
+  wire::put_str(s, backend);
+  for (std::size_t i = 0; i < kQosClasses; ++i) put(s, vl_class_quota[i]);
+  put(s, vl_per_sqi_quota);
+  for (std::size_t i = 0; i < kQosClasses; ++i) put(s, caf_class_credits[i]);
+  put(s, static_cast<std::uint32_t>(queues.size()));
   for (const QueueState& q : queues) {
-    put_str(s, q.name);
-    put32(s, q.vlrd_id);
-    put32(s, q.sqi);
-    put32(s, static_cast<std::uint32_t>(q.lines.size()));
+    wire::put_str(s, q.name);
+    put(s, q.vlrd_id);
+    put(s, q.sqi);
+    put(s, static_cast<std::uint32_t>(q.lines.size()));
     for (const mem::Line& l : q.lines)
       s.append(reinterpret_cast<const char*>(l.data()), l.size());
-    put32(s, static_cast<std::uint32_t>(q.words.size()));
+    put(s, static_cast<std::uint32_t>(q.words.size()));
     for (const auto& [v, cls] : q.words) {
-      put64(s, v);
-      s.push_back(static_cast<char>(cls));
+      put(s, v);
+      put(s, cls);
     }
   }
   return s;
 }
 
 Snapshot Snapshot::deserialize(const std::string& bytes) {
-  Reader r{bytes};
-  r.need(sizeof(kMagic));
+  wire::Reader r(bytes, "warm-restart snapshot");
+  r.skip(sizeof(kMagic));
   if (bytes.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0)
-    throw std::invalid_argument("warm-restart snapshot: bad magic");
-  r.off = sizeof(kMagic);
-  if (r.u32() != kVersion)
-    throw std::invalid_argument("warm-restart snapshot: unknown version");
+    r.fail("bad magic");
+  if (r.get<std::uint32_t>() != kVersion) r.fail("unknown version");
 
   Snapshot snap;
   snap.backend = r.str();
   for (std::size_t i = 0; i < kQosClasses; ++i)
-    snap.vl_class_quota[i] = r.u32();
-  snap.vl_per_sqi_quota = r.u32();
+    snap.vl_class_quota[i] = r.get<std::uint32_t>();
+  snap.vl_per_sqi_quota = r.get<std::uint32_t>();
   for (std::size_t i = 0; i < kQosClasses; ++i)
-    snap.caf_class_credits[i] = r.u32();
-  const std::uint32_t nq = r.u32();
+    snap.caf_class_credits[i] = r.get<std::uint32_t>();
+  const auto nq = r.get<std::uint32_t>();
   for (std::uint32_t qi = 0; qi < nq; ++qi) {
     QueueState q;
     q.name = r.str();
-    q.vlrd_id = r.u32();
-    q.sqi = r.u32();
-    const std::uint32_t nl = r.u32();
+    q.vlrd_id = r.get<std::uint32_t>();
+    q.sqi = r.get<std::uint32_t>();
+    const auto nl = r.get<std::uint32_t>();
     for (std::uint32_t i = 0; i < nl; ++i) {
       mem::Line l;
-      for (auto& b : l) b = r.u8();
+      for (auto& b : l) b = r.get<std::uint8_t>();
       q.lines.push_back(l);
     }
-    const std::uint32_t nw = r.u32();
+    const auto nw = r.get<std::uint32_t>();
     for (std::uint32_t i = 0; i < nw; ++i) {
-      const std::uint64_t v = r.u64();
-      const std::uint8_t cls = r.u8();
+      const auto v = r.get<std::uint64_t>();
+      const auto cls = r.get<std::uint8_t>();
       q.words.emplace_back(v, cls);
     }
     snap.queues.push_back(std::move(q));
   }
-  if (r.off != bytes.size())
-    throw std::invalid_argument("warm-restart snapshot: trailing bytes");
+  r.finish();
   return snap;
 }
 

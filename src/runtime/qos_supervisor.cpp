@@ -46,10 +46,19 @@ void base_weights(ChannelDemand& d, const bool present[kQosClasses]) {
                    : 0.0;
 }
 
+void apply_class_quotas(const QuotaPlan& p, vlrd::Cluster* vl,
+                        squeue::CafDevice* caf) {
+  for (std::size_t c = 0; c < kQosClasses; ++c) {
+    if (vl) vl->set_class_quota(static_cast<QosClass>(c), p.vl_class_quota[c]);
+    if (caf)
+      caf->set_class_credit(static_cast<QosClass>(c), p.caf_class_credits[c]);
+  }
+}
+
 QosSupervisor::QosSupervisor(const Config& cfg, const bool present[kQosClasses])
     : cfg_(cfg) {
   for (std::size_t c = 0; c < kQosClasses; ++c) {
-    present_[c] = present[c];
+    present_[c] = active_[c] = present[c];
     base_[c] = present[c]
                    ? static_cast<double>(qos_weight(static_cast<QosClass>(c)))
                    : 0.0;
@@ -81,18 +90,14 @@ void QosSupervisor::actuate() {
     if (!a.demand.qos) continue;
     ChannelDemand d = a.demand;
     for (std::size_t c = 0; c < kQosClasses; ++c)
-      d.weights[c] = present_[c] ? w_[c] : 0.0;
-    const QuotaPlan p = size_quotas(a.cfg, d);
-    // The latency class's weight never moves, so its row re-applies
-    // unchanged — a no-op on both knob paths.
-    for (std::size_t c = 0; c < kQosClasses; ++c) {
-      if (a.vl)
-        a.vl->set_class_quota(static_cast<QosClass>(c), p.vl_class_quota[c]);
-      if (a.caf)
-        a.caf->set_class_credit(static_cast<QosClass>(c),
-                                p.caf_class_credits[c]);
-    }
+      d.weights[c] = active_[c] ? w_[c] : 0.0;
+    apply_class_quotas(size_quotas(a.cfg, d), a.vl, a.caf);
   }
+}
+
+void QosSupervisor::set_active(const bool active[kQosClasses]) {
+  for (std::size_t c = 0; c < kQosClasses; ++c) active_[c] = active[c];
+  actuate();
 }
 
 void QosSupervisor::on_epoch(const obs::Timeline& tl) {

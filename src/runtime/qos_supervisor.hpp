@@ -82,6 +82,13 @@ QuotaPlan size_quotas(const sim::SystemConfig& cfg, const ChannelDemand& d);
 /// Base AIMD weights for a demand: qos_weight() for present classes.
 void base_weights(ChannelDemand& d, const bool present[kQosClasses]);
 
+/// Write `p`'s per-class rows to one machine's class knobs — VLRD class
+/// quotas on `vl`, CAF class credits on `caf` (either may be null). Every
+/// carve during a run (supervisor actuation, churn re-carve) goes through
+/// here.
+void apply_class_quotas(const QuotaPlan& p, vlrd::Cluster* vl,
+                        squeue::CafDevice* caf);
+
 class QosSupervisor {
  public:
   struct Config {
@@ -137,6 +144,11 @@ class QosSupervisor {
   /// from on_epoch; public so engines can force an initial actuation).
   void actuate();
 
+  /// Churn boundary: `active[c]` says which classes still have live
+  /// tenants. The supervisor keeps its weights and re-carves over the
+  /// active classes, so it stays the one writer of the class knobs.
+  void set_active(const bool active[kQosClasses]);
+
   double weight(QosClass c) const {
     return w_[static_cast<std::size_t>(c)];
   }
@@ -158,6 +170,7 @@ class QosSupervisor {
 
   Config cfg_;
   bool present_[kQosClasses] = {false, false, false};
+  bool active_[kQosClasses] = {false, false, false};  ///< Carved classes.
   double base_[kQosClasses] = {0, 0, 0};
   double w_[kQosClasses] = {0, 0, 0};
   std::vector<Actuator> actuators_;

@@ -24,23 +24,24 @@ Producer::Producer(Machine& m, const QueueHandle& q, Supervisor& sup,
 }
 
 sim::Co<bool> Producer::try_enqueue(std::span<const std::uint64_t> words) {
-  co_return co_await try_enqueue_elems(ElemSize::kDword, words);
+  const int rc = co_await try_enqueue_raw(ElemSize::kDword, words);
+  co_return rc == isa::kVlOk;
 }
 
-sim::Co<std::size_t> Producer::stage_burst(std::span<const LineView> lines) {
+sim::Co<std::size_t> Producer::stage_burst(std::span<const LineView> lines,
+                                           ElemSize sz) {
   const std::size_t k = std::min(lines.size(), buf_.size());
-  // Stage the run: fill each ring line's data region and arm its control
-  // word (Fig. 10), exactly as the single-line path does — the savings are
-  // all in the fused port/device transaction of push_staged().
+  const auto width = static_cast<unsigned>(elem_bytes(sz));
+  // Fill each ring line's data region high-to-low, then arm its control
+  // word (Fig. 10), the reserved byte carrying the line's service class.
   staged_.clear();
   for (std::size_t i = 0; i < k; ++i) {
     const LineView& lv = lines[i];
-    assert(lv.n >= 1 && lv.n <= kMaxWordsPerLine);
+    assert(lv.n >= 1 && lv.n <= max_elems(sz));
     const Addr line = buf_[(cur_ + i) % buf_.size()];
     for (std::uint8_t j = 0; j < lv.n; ++j)
-      co_await t_.store(line + dword_offset(j, lv.n), lv.w[j], 8);
-    co_await t_.store(line + kCtrlOffset,
-                      pack_ctrl(ElemSize::kDword, lv.n, lv.qos), 2);
+      co_await t_.store(line + elem_offset(sz, j, lv.n), lv.w[j], width);
+    co_await t_.store(line + kCtrlOffset, pack_ctrl(sz, lv.n, lv.qos), 2);
     staged_.push_back(line);
   }
   co_return k;
@@ -52,16 +53,16 @@ sim::Co<BurstResult> Producer::push_staged(std::size_t offset,
   r.rc = isa::kVlOk;
   assert(offset + count <= staged_.size());
   if (count == 0) co_return r;
-  std::size_t accepted = 0;
-  const int rc =
-      co_await m_.vl_port(t_.core->id())
-          .vl_select_push_burst(
-              t_.tid,
-              std::span<const Addr>(staged_.data() + offset, count), dev_va_,
-              &accepted);
-  cur_ = (cur_ + accepted) % buf_.size();  // hardware zeroed accepted lines
-  r.accepted = accepted;
-  if (accepted < count) {
+  // Fused select+push: under core oversubscription, issuing them as two
+  // port transactions lets the sibling thread's ops interleave and the
+  // resulting context switch clears the selection latch every time.
+  const int rc = co_await m_.vl_port(t_.core->id())
+                     .vl_select_push(t_.tid,
+                                     std::span<const Addr>(
+                                         staged_.data() + offset, count),
+                                     dev_va_, &r.accepted);
+  cur_ = (cur_ + r.accepted) % buf_.size();  // hardware zeroed them
+  if (r.accepted < count) {
     ++retries_;  // unaccepted lines keep their data; caller may re-push
     r.rc = rc;
   }
@@ -75,36 +76,26 @@ sim::Co<BurstResult> Producer::try_enqueue_burst(
   co_return co_await push_staged(0, k);
 }
 
-sim::Co<bool> Producer::try_enqueue_elems(
-    ElemSize sz, std::span<const std::uint64_t> elems) {
-  const int rc = co_await try_enqueue_raw(sz, elems);
-  co_return rc == isa::kVlOk;
-}
-
 sim::Co<int> Producer::try_enqueue_raw(ElemSize sz,
                                        std::span<const std::uint64_t> elems) {
-  assert(!elems.empty() && elems.size() <= max_elems(sz));
-  const Addr line = buf_[cur_];
-  const auto n = static_cast<std::uint8_t>(elems.size());
-  const auto width = static_cast<unsigned>(elem_bytes(sz));
+  // A single message is a run of one.
+  const LineView one{elems.data(), static_cast<std::uint8_t>(elems.size()),
+                     qos_};
+  co_await stage_burst(std::span<const LineView>(&one, 1), sz);
+  const BurstResult r = co_await push_staged(0, 1);
+  co_return r.rc;
+}
 
-  // Fill the data region high-to-low, then arm the control word (Fig. 10),
-  // its reserved byte carrying the endpoint's service class.
-  for (std::uint8_t i = 0; i < n; ++i)
-    co_await t_.store(line + elem_offset(sz, i, n), elems[i], width);
-  co_await t_.store(line + kCtrlOffset, pack_ctrl(sz, n, qos_), 2);
-
-  // Fused select+push: under core oversubscription, issuing them as two
-  // port transactions lets the sibling thread's ops interleave and the
-  // resulting context switch clears the selection latch every time.
-  const int rc =
-      co_await m_.vl_port(t_.core->id()).vl_select_push(t_.tid, line, dev_va_);
-  if (rc == isa::kVlOk) {
-    cur_ = (cur_ + 1) % buf_.size();  // hardware zeroed the line for reuse
-    co_return rc;
+sim::Co<void> Producer::await_room(bool quota, std::uint64_t gate,
+                                   std::size_t want, std::size_t& credits) {
+  if (quota) {
+    if (credits) m_.vl_space().release(credits);
+    credits = 0;
+    co_await t_.park(m_.vl_quota_wq(vlrd_id_, sqi_), gate);
+  } else {
+    credits = want;
+    co_await t_.acquire_credits(m_.vl_space(), want);
   }
-  ++retries_;
-  co_return rc;  // data still in the line; caller may retry the push
 }
 
 sim::Co<void> Producer::enqueue(std::span<const std::uint64_t> words) {
@@ -118,37 +109,17 @@ sim::Co<void> Producer::enqueue1(std::uint64_t w) {
 
 sim::Co<void> Producer::enqueue_elems(ElemSize sz,
                                       std::span<const std::uint64_t> elems) {
-  sim::WaitQueue& quota_wq = m_.vl_quota_wq(vlrd_id_, sqi_);
-  bool holds_credit = false;  // granted a space credit last lap
+  std::size_t credits = 0;
   for (;;) {
-    // Futex protocol (quota side): sample the wake epoch before the
-    // attempt so an injection completing mid-push is never lost as a
-    // wakeup. The space side is a credit gate — credits persist, so no
-    // epoch gate is needed there.
+    // Futex protocol: sample the quota wake epoch before the attempt so an
+    // injection completing mid-push is never lost as a wakeup.
     // NB: the await must not sit in the loop condition — GCC 12 destroys
     // condition temporaries before the suspended callee resumes, which
     // tears down the in-flight coroutine (silent no-op).
-    const std::uint64_t gate_quota = quota_wq.epoch();
+    const std::uint64_t gate = quota_gate();
     const int rc = co_await try_enqueue_raw(sz, elems);
     if (rc == isa::kVlOk) break;
-    if (rc == isa::kVlNackQuota) {
-      // Our SQI's (or class's) quota is exhausted: only this SQI draining
-      // helps, so park on its futex. A slot credit we were granted but
-      // cannot use goes back to the gate — some other SQI's space-parked
-      // producer may be able to take the slot we cannot.
-      if (holds_credit) {
-        holds_credit = false;
-        m_.vl_space().release(1);
-      }
-      co_await t_.park(quota_wq, gate_quota);
-    } else {
-      // Buffer full: wait for a freed-slot credit from the routing device,
-      // donating the core instead of spinning a backoff timer. (A held
-      // credit that still NACKed was stale — taken by a fast-path push —
-      // and is simply dropped.)
-      co_await t_.acquire_credits(m_.vl_space(), 1);
-      holds_credit = true;
-    }
+    co_await await_room(rc == isa::kVlNackQuota, gate, 1, credits);
   }
 }
 
@@ -193,6 +164,14 @@ sim::Co<std::optional<Frame>> Consumer::poll_once(Addr line) {
   co_return f;
 }
 
+sim::Co<std::size_t> Consumer::arm(std::span<const Addr> lines) {
+  // Fused select+fetch (see Producer::push_staged for why).
+  std::size_t registered = 0;
+  co_await m_.vl_port(t_.core->id())
+      .vl_select_fetch(t_.tid, lines, dev_va_, &registered);
+  co_return registered;
+}
+
 sim::Co<std::optional<Frame>> Consumer::try_dequeue_once() {
   const Addr line = buf_[cur_];
   // Data may already have landed from an earlier registration.
@@ -202,10 +181,8 @@ sim::Co<std::optional<Frame>> Consumer::try_dequeue_once() {
     cur_ = (cur_ + 1) % buf_.size();
     co_return got;
   }
-  isa::VlPort& port = m_.vl_port(t_.core->id());
   if (!armed_[cur_]) {
-    // Fused select+fetch (see Producer::try_enqueue_elems for why).
-    co_await port.vl_select_fetch(t_.tid, line, dev_va_);
+    co_await arm({&line, 1});
     armed_[cur_] = true;
     polls_since_fetch_ = 0;
     // Backlogged data can inject during the fetch's response window — one
@@ -226,7 +203,7 @@ sim::Co<std::optional<Frame>> Consumer::try_dequeue_once() {
     // request (sets it again); registration is idempotent per consumer
     // target so this is loss-free (§ III-B).
     ++refetches_;
-    co_await port.vl_select_fetch(t_.tid, line, dev_va_);
+    co_await arm({&line, 1});
     armed_[cur_] = true;
   }
   co_return std::nullopt;
@@ -243,9 +220,7 @@ sim::Co<void> Consumer::arm_ahead(std::size_t k) {
     if (!armed_[idx]) want.push_back(buf_[idx]);
   }
   if (want.empty()) co_return;
-  std::size_t registered = 0;
-  co_await m_.vl_port(t_.core->id())
-      .vl_select_fetch_burst(t_.tid, want, dev_va_, &registered);
+  const std::size_t registered = co_await arm(want);
   std::size_t marked = 0;
   for (std::size_t i = 0; i < k && marked < registered; ++i) {
     const std::size_t idx = (cur_ + i) % buf_.size();

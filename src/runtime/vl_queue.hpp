@@ -90,8 +90,8 @@ struct QueueHandle {
 };
 
 /// One message line's worth of payload for a burst enqueue: a borrowed
-/// view of up to 7 dwords plus the service class stamped into the line's
-/// control byte.
+/// view of its elements (up to 7 dwords, or max_elems(sz) of the size code
+/// staged) plus the service class stamped into the line's control byte.
 struct LineView {
   const std::uint64_t* w = nullptr;
   std::uint8_t n = 0;
@@ -126,22 +126,33 @@ class Producer {
 
   /// Split form for back-pressure retry loops: stage_burst() writes up to
   /// buf_lines lines into the endpoint ring ONCE (returns the count
-  /// staged); push_staged() then pushes the staged run's not-yet-accepted
-  /// suffix in one fused port transaction and may be retried after a NACK
-  /// without re-writing any payload — a parked producer that wakes re-pays
-  /// only the push, not the stores. The staged run stays valid until its
-  /// lines are accepted (accepted lines recycle through the ring).
-  sim::Co<std::size_t> stage_burst(std::span<const LineView> lines);
+  /// staged; elements of size `sz`, up to max_elems(sz) per line);
+  /// push_staged() then pushes the staged run's not-yet-accepted suffix in
+  /// one fused port transaction and may be retried after a NACK without
+  /// re-writing any payload — a parked producer that wakes re-pays only
+  /// the push, not the stores. The staged run stays valid until its lines
+  /// are accepted (accepted lines recycle through the ring).
+  sim::Co<std::size_t> stage_burst(std::span<const LineView> lines,
+                                   ElemSize sz = ElemSize::kDword);
   sim::Co<BurstResult> push_staged(std::size_t offset, std::size_t count);
 
-  /// Enqueue elements of any Fig. 10 size code (byte/half/word/dword) —
-  /// values are truncated to the element width; up to max_elems(sz) per
-  /// line. Non-blocking attempt.
-  sim::Co<bool> try_enqueue_elems(ElemSize sz,
-                                  std::span<const std::uint64_t> elems);
+  /// The back-pressure policy of every blocking VL sender, applied after a
+  /// push NACKed while `want` lines still wait to go. `gate` is quota_gate()
+  /// sampled before that push; `credits` counts the buffer-space credits
+  /// the caller holds across calls. A quota NACK (`quota`) parks on this
+  /// SQI's futex — only this SQI draining helps — and hands held credits
+  /// back to the gate for other SQIs' producers. A full buffer drops held
+  /// credits as stale (their slots went to a fast-path push) and waits for
+  /// a `want`-slot grant, so a woken run re-pushes in one transaction.
+  sim::Co<void> await_room(bool quota, std::uint64_t gate, std::size_t want,
+                           std::size_t& credits);
+  /// Wake epoch of this SQI's quota futex (the lost-wake gate).
+  std::uint64_t quota_gate() const {
+    return m_.vl_quota_wq(vlrd_id_, sqi_).epoch();
+  }
 
-  /// Blocking enqueue: on back-pressure (device NACK) the thread parks on
-  /// the machine's VL space futex and is woken when buffer space frees.
+  /// Blocking enqueue: on back-pressure (device NACK) the thread waits
+  /// under await_room() and retries.
   sim::Co<void> enqueue(std::span<const std::uint64_t> words);
   sim::Co<void> enqueue1(std::uint64_t w);
   sim::Co<void> enqueue_elems(ElemSize sz,
@@ -251,6 +262,9 @@ class Consumer {
 
  private:
   sim::Co<std::optional<Frame>> poll_once(Addr line);
+  /// Register demand for `lines` in one fused select+fetch transaction;
+  /// returns how many leading lines the device registered.
+  sim::Co<std::size_t> arm(std::span<const Addr> lines);
 
   Machine& m_;
   sim::SimThread t_;

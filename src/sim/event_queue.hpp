@@ -163,17 +163,11 @@ class EventQueue {
   /// Total events executed over the queue's lifetime (throughput metric).
   std::uint64_t executed() const { return executed_; }
 
-#ifndef VL_OBS_NO_TRACE
   /// Trace sink for everything running on this queue's timeline (SimThread
   /// parks, channel bursts, VLRD pipeline). Null unless tracing was
-  /// requested; hooks test the pointer and skip. With -DVL_OBS_NO_TRACE=ON
-  /// trace() is constexpr nullptr and every hook compiles away.
+  /// requested; hooks test the pointer and skip.
   obs::TraceBuffer* trace() const { return trace_; }
   void set_trace(obs::TraceBuffer* tb) { trace_ = tb; }
-#else
-  static constexpr obs::TraceBuffer* trace() { return nullptr; }
-  static constexpr void set_trace(obs::TraceBuffer*) {}
-#endif
 
  private:
   // Calendar ring: one bucket per tick over [now, now + kRingSize).
@@ -220,9 +214,7 @@ class EventQueue {
   std::vector<Bucket> ring_;
   std::array<std::uint64_t, kRingSize / 64> bits_{};
   std::vector<FarEv> far_;  // binary heap under FarAfter
-#ifndef VL_OBS_NO_TRACE
   obs::TraceBuffer* trace_ = nullptr;
-#endif
 };
 
 }  // namespace vl::sim

@@ -64,9 +64,7 @@ sim::Co<SendManyResult> VlChannel::try_send_many(sim::SimThread t,
 
 sim::Co<void> VlChannel::send_many(sim::SimThread t,
                                    std::span<const Msg> msgs) {
-  runtime::Machine& m = lib_.machine();
   runtime::Producer& p = producer_for(t);
-  sim::WaitQueue& quota_wq = m.vl_quota_wq(q_.vlrd_id, q_.sqi);
   std::size_t done = 0;
   while (done < msgs.size()) {
     std::vector<runtime::LineView> views;
@@ -78,36 +76,21 @@ sim::Co<void> VlChannel::send_many(sim::SimThread t,
       views.push_back({msg.w.data(), msg.n, msg.qos});
     }
     // Each lap's lines are written into the endpoint ring ONCE; only the
-    // fused push retries after back-pressure. On a full-buffer NACK the
-    // producer asks the machine's credit gate for the whole remaining
-    // run, so one wake carries an n-slot grant and the re-push re-injects
-    // the run in one transaction — batched injection stays batched under
-    // saturation instead of degrading to slot-at-a-time wakes.
+    // fused push retries after back-pressure, and a full-buffer wait asks
+    // for the whole remaining run, so one wake carries an n-slot grant and
+    // batched injection stays batched under saturation.
     const std::size_t staged = co_await p.stage_burst(views);
     std::size_t pushed = 0;
-    std::size_t held = 0;  // space credits granted for the remaining run
-    while (pushed < staged) {
-      const std::uint64_t gate_quota = quota_wq.epoch();
+    std::size_t credits = 0;
+    for (;;) {
+      const std::uint64_t gate = p.quota_gate();
       const runtime::BurstResult b =
           co_await p.push_staged(pushed, staged - pushed);
       pushed += b.accepted;
-      held -= std::min(held, b.accepted);  // consumed with the slots
+      credits -= std::min(credits, b.accepted);  // consumed with the slots
       if (pushed == staged) break;
-      if (b.rc == isa::kVlNackQuota) {
-        // Only this SQI draining helps; slot credits we cannot convert go
-        // back to the gate for producers of other SQIs.
-        if (held) {
-          m.vl_space().release(held);
-          held = 0;
-        }
-        co_await t.park(quota_wq, gate_quota);
-      } else {
-        // Full buffer: any credits we still held were stale (their slots
-        // went to a fast-path push) — drop them and wait for a grant
-        // covering the rest of the run.
-        held = staged - pushed;
-        co_await t.acquire_credits(m.vl_space(), held);
-      }
+      co_await p.await_room(b.rc == isa::kVlNackQuota, gate, staged - pushed,
+                            credits);
     }
     done += staged;
   }
@@ -182,25 +165,10 @@ void VlChannel::sample_send_gates(BlockGates& g, const Msg&) {
 
 sim::Co<void> VlChannel::send_blocked(sim::SimThread t, SendStatus why,
                                       BlockGates& g, const Msg&) {
-  runtime::Machine& m = lib_.machine();
-  if (why == SendStatus::kQuota) {
-    // Our SQI's (or class's) quota is exhausted: only this SQI draining
-    // helps, so park on its futex. A slot credit we were granted but
-    // cannot convert goes back to the gate — some other SQI's
-    // space-parked producer may be able to take the slot we cannot.
-    if (g.baton) {
-      g.baton = false;
-      m.vl_space().release(1);
-    }
-    co_await t.park(m.vl_quota_wq(q_.vlrd_id, q_.sqi), g.quota);
-  } else {
-    // Buffer full: wait for a freed-slot credit from the routing device,
-    // donating the core instead of spinning a backoff timer. (A held
-    // credit that still NACKed was stale and is dropped.)
-    g.baton = false;
-    co_await t.acquire_credits(m.vl_space(), 1);
-    g.baton = true;
-  }
+  std::size_t credits = g.baton ? 1 : 0;
+  co_await producer_for(t).await_room(why == SendStatus::kQuota, g.quota, 1,
+                                      credits);
+  g.baton = credits != 0;
 }
 
 bool VlChannel::reconfigure(sim::SimThread t) {

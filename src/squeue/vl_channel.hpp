@@ -5,15 +5,16 @@
 // exactly the paper's model where every producer/consumer owns endpoint
 // state and *no* queue state is shared between threads.
 //
-// Channel v2 fast paths: try_send_many stages a run of message lines in
-// the endpoint ring and pushes them with one fused port transaction under
-// one prodBuf/quota acquisition (Producer::try_enqueue_burst); on a
-// single-consumer channel try_recv_many registers demand for a run of
-// lines at once (Consumer::arm_ahead) so a queued burst injects into
-// consecutive lines and drains by pure local control-word polls. Blocking
-// sends park on the machine's VL futexes split by NACK reason — the
-// per-(device,SQI) quota queue vs the global buffer-space queue, with the
-// counted-wake baton pass-back (see sim/README.md).
+// A single message is a run of one: try_send, try_send_many and send_many
+// all stage their lines in the endpoint ring and push them with one fused
+// port transaction under one prodBuf/quota acquisition
+// (Producer::stage_burst + push_staged); on a single-consumer channel
+// try_recv_many registers demand for a run of lines at once
+// (Consumer::arm_ahead) so a queued burst injects into consecutive lines
+// and drains by pure local control-word polls. Every blocking send waits
+// under the producer's one back-pressure policy (Producer::await_room):
+// park on the per-(device,SQI) quota futex after a quota NACK, wait for a
+// buffer-space credit grant after a full-buffer NACK (see sim/README.md).
 
 #include <map>
 #include <memory>

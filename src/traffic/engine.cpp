@@ -105,10 +105,12 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
     for (const auto& t : spec.tenants) names.push_back(t.name);
     lplane = std::make_unique<replay::LifecyclePlane>(spec.lifecycle, names);
     run.lp = lplane.get();
-    // Quota re-carve at every churn boundary: recompute the per-class
-    // carve over the classes still active, so hardware budgets track the
-    // live tenant mix (runtime::size_quotas — the same arithmetic as the
-    // static carve and the QoS supervisor, so nothing drifts).
+    // Quota re-carve at every churn boundary over the classes still
+    // active, so hardware budgets track the live tenant mix. A supervisor
+    // keeps its weights and does the re-carve itself — it stays the one
+    // writer of the class knobs; without one the carve uses the base
+    // weights (runtime::size_quotas — the same arithmetic as the static
+    // carve, so nothing drifts).
     if (spec.qos && (backend == squeue::Backend::kVl ||
                      backend == squeue::Backend::kCaf)) {
       for (const Tick at : run.lp->churn_boundaries()) {
@@ -121,17 +123,16 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
             any = true;
           }
           if (!any) return;  // everyone gone — leave the carve alone
-          runtime::ChannelDemand d =
-              channel_demand_for(spec, backend, m_.cfg());
-          runtime::base_weights(d, present);
-          const runtime::QuotaPlan plan = runtime::size_quotas(m_.cfg(), d);
-          for (std::size_t c = 0; c < kQosClasses; ++c) {
-            if (backend == squeue::Backend::kVl)
-              m_.cluster().set_class_quota(static_cast<QosClass>(c),
-                                           plan.vl_class_quota[c]);
-            else
-              f_.caf_device().set_class_credit(static_cast<QosClass>(c),
-                                               plan.caf_class_credits[c]);
+          if (run.sup) {
+            run.sup->set_active(present);
+          } else {
+            runtime::ChannelDemand d =
+                channel_demand_for(spec, backend, m_.cfg());
+            runtime::base_weights(d, present);
+            runtime::apply_class_quotas(
+                runtime::size_quotas(m_.cfg(), d),
+                backend == squeue::Backend::kVl ? &m_.cluster() : nullptr,
+                backend == squeue::Backend::kCaf ? &f_.caf_device() : nullptr);
           }
           run.lp->note_recarve();
         });

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -90,6 +91,21 @@ TEST(FlagTableDeathTest, HelpPrintsUsageAndExitsZero) {
   EXPECT_NE(text.find("RNG seed (default 42)"), std::string::npos) << text;
   EXPECT_NE(text.find("--scales N,N,.."), std::string::npos) << text;
   EXPECT_NE(text.find("(default 1,2)"), std::string::npos) << text;
+}
+
+// A mode that reads only some flags names the first one it would ignore;
+// flag values (here "7", "-2") are never mistaken for flags.
+TEST(FlagTable, RejectIgnoredNamesTheFirstIgnoredFlag) {
+  const char* argv[] = {"bench", "--warm-restart", "--seed", "7",
+                        "--shards", "-2", "--scale", "2"};
+  const auto drill_ignores = [](std::string_view a) {
+    return !one_of(a, {"--backend", "--seed"});
+  };
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(reject_ignored(8, argv, "--warm-restart", drill_ignores));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "bench: --warm-restart ignores --shards\n");
+  EXPECT_FALSE(reject_ignored(4, argv, "--warm-restart", drill_ignores));
 }
 
 }  // namespace

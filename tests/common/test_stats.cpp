@@ -55,21 +55,6 @@ TEST(Summary, EmptyIsZero) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.record(-1.0);
-  h.record(0.0);
-  h.record(9.999);
-  h.record(10.0);
-  h.record(5.5);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.buckets()[0], 1u);
-  EXPECT_EQ(h.buckets()[9], 1u);
-  EXPECT_EQ(h.buckets()[5], 1u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(5), 5.0);
-}
-
 TEST(Geomean, MatchesHandComputation) {
   EXPECT_NEAR(geomean({2.0, 8.0}), 4.0, 1e-12);
   EXPECT_NEAR(geomean({1.0, 1.0, 1.0}), 1.0, 1e-12);

@@ -203,5 +203,36 @@ TEST_F(VlPortFixture, SqiRoutingFromDeviceAddress) {
   EXPECT_EQ(m.vlrd().queued_data(2), 1u);
 }
 
+// The pushable tag goes up as vl_fetch issues, before the request crosses
+// the bus (§ III-B): a probe stepping through the transit sees every line
+// of a fetch run tagged while the device has not yet registered it.
+TEST_F(VlPortFixture, FetchTagsLinesBeforeTheRequestReachesTheDevice) {
+  SimThread t = m.thread_on(0);
+  const Addr lines[2] = {m.alloc(kLineSize), m.alloc(kLineSize)};
+  std::size_t registered = 0;
+  bool done = false;
+  spawn([](Machine& m, SimThread t, const Addr* lines, Addr dev,
+           std::size_t* registered, bool* done) -> Co<void> {
+    const int rc = co_await m.vl_port(0).vl_select_fetch(
+        t.tid, std::span<const Addr>(lines, 2), dev, registered);
+    EXPECT_EQ(rc, kVlOk);
+    *done = true;
+  }(m, t, lines, dev_sqi1, &registered, &done));
+  int in_flight = 0;  // probed ticks with tags up and no registration yet
+  spawn([](Machine& m, const Addr* lines, const bool* done,
+           int* in_flight) -> Co<void> {
+    while (!*done) {
+      const bool tagged = m.mem().l1_pushable(0, lines[0]) &&
+                          m.mem().l1_pushable(0, lines[1]);
+      if (tagged && m.vlrd().stats().fetches == 0) ++*in_flight;
+      co_await sim::Delay(m.eq(), 1);
+    }
+  }(m, lines, &done, &in_flight));
+  m.run();
+  EXPECT_EQ(registered, 2u);
+  EXPECT_EQ(m.vlrd().stats().fetches, 2u);
+  EXPECT_GT(in_flight, 0);
+}
+
 }  // namespace
 }  // namespace vl::isa

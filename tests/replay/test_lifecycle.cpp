@@ -2,14 +2,17 @@
 // (spec, now) queries, reconfig one-shot consumption, and engine-level
 // churn — tenants leaving and rejoining mid-run keep the conservation
 // identity generated == delivered + dropped exact on every backend, and
-// churned runs stay deterministic.
+// churned runs stay deterministic, and a churn boundary re-carves through
+// the QoS supervisor instead of overwriting its quotas.
 
 #include "replay/lifecycle.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "obs/timeline.hpp"
 #include "traffic/engine.hpp"
 
 namespace vl::replay {
@@ -146,6 +149,50 @@ TEST(LifecycleEngine, ReconfigRejectedOffTheVlBackends) {
                std::invalid_argument);
   EXPECT_THROW(traffic::run_spec(spec, squeue::Backend::kCaf, 42),
                std::invalid_argument);
+}
+
+// A churn boundary hands the supervisor the active classes; it re-carves
+// with its own weights instead of being overwritten by a base-weight carve.
+// So whenever the supervisor holds bulk at its weight floor, the device's
+// bulk quota is the floor quota — across the leave and the rejoin too.
+TEST(LifecycleEngine, ChurnKeepsTheSupervisorsClassQuotas) {
+  using squeue::Backend;
+  traffic::ScenarioSpec spec = *traffic::find_scenario("qos-adversarial-bulk");
+  ASSERT_TRUE(spec.supervisor);
+  spec.lifecycle = LifecycleSpec::parse(
+      "leave@100000:tenant=web;join@200000:tenant=web");
+  runtime::Machine m(traffic::machine_config_for(spec, Backend::kVl));
+  squeue::ChannelFactory f(m, Backend::kVl);
+  obs::Timeline tl;
+  tl.add_series("probe.bulk_quota", [&m] {
+    return static_cast<double>(
+        m.cluster().device(0).class_quota(QosClass::kBulk));
+  });
+  obs::RunHooks hooks;
+  hooks.timeline = &tl;
+  hooks.sample_every = 2500;  // the supervisor's default control cadence
+  traffic::Engine(m, f).run(spec, 42, 1, &hooks);
+
+  const auto& names = tl.names();
+  const auto col = [&names](const char* n) {
+    return static_cast<std::size_t>(
+        std::find(names.begin(), names.end(), n) - names.begin());
+  };
+  const std::size_t quota = col("probe.bulk_quota");
+  const std::size_t weight = col("sup.weight.bulk");
+  ASSERT_LT(weight, names.size());
+  const double floor = runtime::QosSupervisor::Config{}.floor *
+                       qos_weight(QosClass::kBulk);
+  int floored = 0, floored_after_churn = 0;
+  for (std::size_t i = 0; i < tl.size(); ++i) {
+    const obs::Timeline::Epoch& e = tl.at(i);
+    if (e.values[weight] > floor + 1e-9) continue;
+    ++floored;
+    if (e.tick >= 100000) ++floored_after_churn;
+    EXPECT_EQ(e.values[quota], 1.0) << "tick " << e.tick;
+  }
+  EXPECT_GT(floored, 0);
+  EXPECT_GT(floored_after_churn, 0);
 }
 
 }  // namespace
