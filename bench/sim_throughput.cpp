@@ -11,7 +11,9 @@
 //     (lower = less simulation work per unit of useful traffic).
 //
 // Results are emitted both as an aligned table and as BENCH_sim.json so CI
-// can archive the perf trajectory across commits.
+// can archive the perf trajectory across commits. The JSON keeps only the
+// deterministic columns: host timings vary from machine to machine, so
+// they appear in the printed table alone.
 //
 //   sim_throughput                         # default preset matrix
 //   sim_throughput --list                  # presets + registered workloads
@@ -288,15 +290,12 @@ void write_json(const char* path, const std::vector<Row>& rows,
         f,
         "    {\"scenario\": \"%s\", \"backend\": \"%s\", "
         "\"events\": %llu, \"sim_ticks\": %llu, \"delivered\": %llu, "
-        "\"lat_p99\": %llu, "
-        "\"wall_ms\": %.3f, \"events_per_sec\": %.0f, "
-        "\"sim_mticks_per_sec\": %.3f, \"events_per_msg\": %.2f}%s\n",
+        "\"lat_p99\": %llu, \"events_per_msg\": %.2f}%s\n",
         r.scenario.c_str(), r.backend.c_str(),
         static_cast<unsigned long long>(r.events),
         static_cast<unsigned long long>(r.ticks),
         static_cast<unsigned long long>(r.delivered),
-        static_cast<unsigned long long>(r.lat_p99), r.wall_ms,
-        r.events_per_sec, r.mticks_per_sec, r.events_per_msg,
+        static_cast<unsigned long long>(r.lat_p99), r.events_per_msg,
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

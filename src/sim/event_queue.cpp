@@ -2,20 +2,44 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 namespace vl::sim {
 
 EventQueue::EventQueue() : ring_(kRingSize) {}
 
+std::uint32_t EventQueue::alloc_node(std::uint64_t seq, Fn fn) {
+  std::uint32_t i = free_;
+  if (i != kNil) {
+    free_ = slab_[i].next;
+  } else {
+    assert(slab_.size() < kNil && "event slab index overflow");
+    i = static_cast<std::uint32_t>(slab_.size());
+    slab_.emplace_back();
+  }
+  Node& n = slab_[i];
+  n.seq = seq;
+  n.next = kNil;
+  n.fn = std::move(fn);
+  return i;
+}
+
 void EventQueue::schedule_at(Tick when, Fn fn) {
   assert(when >= now_ && "cannot schedule into the past");
   ++size_;
+  const std::uint64_t seq = seq_++;
+  const std::uint32_t i = alloc_node(seq, std::move(fn));
   if (when - now_ < kRingSize) {
     Bucket& b = ring_[when & kRingMask];
-    b.evs.push_back(Ev{seq_++, std::move(fn)});
-    set_bit(when & kRingMask);
+    if (b.tail == kNil) {
+      b.head = i;
+      set_bit(when & kRingMask);
+    } else {
+      slab_[b.tail].next = i;
+    }
+    b.tail = i;
   } else {
-    far_.push_back(FarEv{when, seq_++, std::move(fn)});
+    far_.push_back(FarEv{when, seq, i});
     std::push_heap(far_.begin(), far_.end(), FarAfter{});
   }
 }
@@ -42,39 +66,26 @@ std::optional<Tick> EventQueue::next_ring_tick() const {
 void EventQueue::migrate_far(Tick t) {
   if (far_.empty() || far_.front().when != t) return;
   Bucket& b = ring_[t & kRingMask];
-  std::vector<Ev> incoming;  // seq-ascending: heap pops (when, seq) ordered
+  // A far event for t was scheduled while t lay beyond the horizon, so
+  // before every near event for t: the due run, popped seq-ascending, goes
+  // ahead of the bucket's whole list.
+  const std::uint32_t near = b.head;
+  std::uint32_t* link = &b.head;
+  std::uint32_t last = kNil;
   while (!far_.empty() && far_.front().when == t) {
     std::pop_heap(far_.begin(), far_.end(), FarAfter{});
-    incoming.push_back(Ev{far_.back().seq, std::move(far_.back().fn)});
+    last = far_.back().node;
     far_.pop_back();
+    assert(near == kNil || slab_[last].seq < slab_[near].seq);
+    *link = last;
+    link = &slab_[last].next;
   }
-  if (b.evs.empty()) {
-    b.evs = std::move(incoming);
-  } else {
-    // Both runs are seq-ascending; merge to preserve global FIFO-per-tick.
-    std::vector<Ev> merged;
-    merged.reserve(b.evs.size() + incoming.size());
-    std::size_t i = 0, j = 0;
-    while (i < b.evs.size() && j < incoming.size())
-      merged.push_back(b.evs[i].seq < incoming[j].seq
-                           ? std::move(b.evs[i++])
-                           : std::move(incoming[j++]));
-    while (i < b.evs.size()) merged.push_back(std::move(b.evs[i++]));
-    while (j < incoming.size()) merged.push_back(std::move(incoming[j++]));
-    b.evs = std::move(merged);
-  }
-  b.cursor = 0;
+  *link = near;
+  if (near == kNil) b.tail = last;
   set_bit(t & kRingMask);
 }
 
-std::optional<Tick> EventQueue::next_event_tick() {
-  Bucket& cur = ring_[now_ & kRingMask];
-  if (cur.cursor < cur.evs.size()) return now_;
-  if (!cur.evs.empty()) {
-    cur.evs.clear();  // retains capacity for reuse
-    cur.cursor = 0;
-    clear_bit(now_ & kRingMask);
-  }
+std::optional<Tick> EventQueue::peek_next_tick() const {
   const auto ring_next = next_ring_tick();
   if (!far_.empty() && (!ring_next || far_.front().when < *ring_next))
     return far_.front().when;
@@ -82,16 +93,26 @@ std::optional<Tick> EventQueue::next_event_tick() {
 }
 
 bool EventQueue::step() {
-  const auto t = next_event_tick();
+  const auto t = peek_next_tick();
   if (!t) return false;
   if (*t != now_) {
     now_ = *t;
     migrate_far(*t);
   }
   Bucket& b = ring_[now_ & kRingMask];
-  assert(b.cursor < b.evs.size());
-  EventFn fn = std::move(b.evs[b.cursor].fn);
-  ++b.cursor;
+  const std::uint32_t i = b.head;
+  assert(i != kNil);
+  Node& n = slab_[i];
+  b.head = n.next;
+  if (b.head == kNil) {
+    b.tail = kNil;
+    clear_bit(now_ & kRingMask);
+  }
+  // Move the callable out and free the node before invoking it: fn may
+  // schedule, and a slab that grows relocates every node.
+  EventFn fn = std::move(n.fn);
+  n.next = free_;
+  free_ = i;
   --size_;
   ++executed_;
   fn();
@@ -106,7 +127,7 @@ std::uint64_t EventQueue::run(std::uint64_t limit) {
 
 void EventQueue::run_until(Tick t) {
   for (;;) {
-    const auto next = next_event_tick();
+    const auto next = peek_next_tick();
     if (!next || *next > t) break;
     step();
   }

@@ -12,15 +12,23 @@
 //     lambdas, device completions) fits inline, so the steady-state event
 //     loop performs no heap allocation per event. Oversized callables fall
 //     back to the heap transparently.
+//   * Every pending event lives in one per-queue node slab, addressed by
+//     32-bit index. A fired node goes on an intrusive LIFO free list and
+//     the next schedule reuses it while it is still in cache, so the slab
+//     never holds more nodes than the queue's peak number of pending
+//     events, and once it reaches that peak scheduling allocates nothing.
 //   * Near-future events (the overwhelming majority: issue costs, cache
 //     latencies, backoffs, context switches) land in a calendar ring of
-//     per-tick buckets covering [now, now + 8192). Scheduling and firing
-//     are O(1); a two-level occupancy bitmap skips empty ticks in O(1).
-//     Bucket vectors are recycled, so their capacity amortises to zero
-//     allocations.
-//   * Events beyond the ring horizon sit in a small binary min-heap and
-//     are merged (by sequence number, preserving global FIFO-per-tick
-//     order) into their bucket when the clock reaches them.
+//     per-tick buckets covering [now, now + 8192). Each bucket is a
+//     {head, tail} FIFO linked through the slab, so the ring is a fixed
+//     64 KB. Scheduling and firing are O(1); a 128-word occupancy bitmap
+//     (one bit per bucket) finds the next occupied tick with a linear
+//     countr_zero scan of at most 129 words.
+//   * Events beyond the ring horizon sit in a binary min-heap of
+//     {when, seq, node} entries (the callable stays in its slab node).
+//     When the clock reaches their tick they are relinked, in sequence
+//     order, ahead of the near events in its bucket, which were all
+//     scheduled later; global FIFO-per-tick order holds.
 
 #include <array>
 #include <cassert>
@@ -156,9 +164,13 @@ class EventQueue {
   std::size_t pending() const { return size_; }
 
   /// Earliest tick (>= now()) holding a pending event, or nullopt when the
-  /// queue is empty. Fires nothing (it may retire an internally drained
-  /// bucket) — the sharded stepper's safe-horizon probe (sim/sharded.hpp).
-  std::optional<Tick> peek_next_tick() { return next_event_tick(); }
+  /// queue is empty. Fires nothing — the sharded stepper's safe-horizon
+  /// probe (sim/sharded.hpp).
+  std::optional<Tick> peek_next_tick() const;
+
+  /// Nodes in the event slab: the peak number of events ever pending at
+  /// once, which bounds the queue's retained event storage.
+  std::size_t slots() const { return slab_.size(); }
 
   /// Total events executed over the queue's lifetime (throughput metric).
   std::uint64_t executed() const { return executed_; }
@@ -175,18 +187,21 @@ class EventQueue {
   static constexpr std::size_t kRingSize = std::size_t{1} << kRingBits;
   static constexpr std::size_t kRingMask = kRingSize - 1;
 
-  struct Ev {
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+
+  struct Node {
     std::uint64_t seq;
+    std::uint32_t next;  // bucket FIFO link, or free-list link once fired
     EventFn fn;
   };
-  struct Bucket {
-    std::vector<Ev> evs;       // seq-ascending (append order)
-    std::size_t cursor = 0;    // next event to fire
+  struct Bucket {  // seq-ascending FIFO of slab nodes
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
   };
   struct FarEv {
     Tick when;
     std::uint64_t seq;
-    EventFn fn;
+    std::uint32_t node;
   };
   struct FarAfter {  // min-heap ordering on (when, seq)
     bool operator()(const FarEv& a, const FarEv& b) const {
@@ -199,18 +214,19 @@ class EventQueue {
     bits_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
   }
 
-  /// Earliest tick with a pending event, retiring the current bucket if it
-  /// has been fully drained. nullopt when nothing is pending anywhere.
-  std::optional<Tick> next_event_tick();
+  /// Take a slab node (the most recently freed one, if any) holding fn.
+  std::uint32_t alloc_node(std::uint64_t seq, Fn fn);
   /// Bitmap scan for the earliest occupied ring tick at or after now_.
   std::optional<Tick> next_ring_tick() const;
-  /// Merge far-heap events due at tick `t` into its bucket, by seq.
+  /// Relink far-heap events due at tick `t` to the front of its bucket.
   void migrate_far(Tick t);
 
   Tick now_ = 0;
   std::uint64_t seq_ = 0;
   std::size_t size_ = 0;
   std::uint64_t executed_ = 0;
+  std::vector<Node> slab_;
+  std::uint32_t free_ = kNil;  // LIFO free list through Node::next
   std::vector<Bucket> ring_;
   std::array<std::uint64_t, kRingSize / 64> bits_{};
   std::vector<FarEv> far_;  // binary heap under FarAfter

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -116,12 +118,13 @@ TEST(EventQueue, FarAndNearEventsOnTheSameTickMergeBySeq) {
 }
 
 TEST(EventQueue, MatchesReferenceModelUnderRandomLoad) {
-  // Deterministic pseudo-random schedule (offsets straddling the ring
-  // horizon, same-tick collisions, nested rescheduling) replayed against a
-  // naive (tick, seq) sort — the kernel's firing order must match exactly.
+  // A deterministic pseudo-random population of self-rescheduling events
+  // (offsets of 0, short, just either side of the 8192-tick ring horizon,
+  // and far beyond it), checked event by event against a naive
+  // (tick, seq)-ordered set. The main loop interleaves step(), run_until()
+  // and peek_next_tick() the way the sharded stepper probes its shards.
   EventQueue eq;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> expected;  // (when,id)
-  std::vector<std::uint64_t> fired;
+  std::set<std::pair<Tick, std::uint64_t>> ref;  // pending (when, id)
   std::uint64_t rng = 0x9e3779b97f4a7c15ull;
   auto next = [&rng] {
     rng ^= rng << 13;
@@ -129,28 +132,96 @@ TEST(EventQueue, MatchesReferenceModelUnderRandomLoad) {
     rng ^= rng << 17;
     return rng;
   };
-  std::uint64_t id = 0;
-  std::function<void(int)> add = [&](int depth) {
-    // Offsets: mostly short, some far past the 8192-tick horizon.
-    const std::uint64_t off = next() % 3 == 0 ? next() % 40'000 : next() % 64;
+  // Per-tick coverage: which kinds of event fired at a tick.
+  enum Kind : unsigned { kNear = 1, kFar = 2, kSameTick = 4 };
+  std::map<Tick, unsigned> kinds;
+  constexpr std::uint64_t kBudget = 24'000;
+  std::uint64_t id = 0, fired = 0;
+  std::size_t peak = 0;
+  std::function<void()> add = [&] {
+    const std::uint64_t r = next() % 16;
+    const Tick off = r < 2    ? 0
+                     : r < 4  ? 8190 + next() % 5
+                     : r < 6  ? 8192 + next() % 30'000
+                              : 1 + next() % 1024;
     const Tick when = eq.now() + off;
+    const unsigned kind = off == 0 ? kSameTick : off >= 8192 ? kFar : kNear;
     const std::uint64_t my_id = id++;
-    expected.emplace_back(when, my_id);
-    eq.schedule_at(when, [&, my_id, depth] {
-      fired.push_back(my_id);
-      if (depth > 0 && next() % 2) add(depth - 1);  // nested reschedule
+    ref.emplace(when, my_id);
+    peak = std::max(peak, ref.size());
+    eq.schedule_at(when, [&, when, kind, my_id] {
+      ASSERT_FALSE(ref.empty());
+      ASSERT_EQ(*ref.begin(), std::make_pair(when, my_id)) << "event " << fired;
+      ASSERT_EQ(eq.now(), when);
+      ref.erase(ref.begin());
+      kinds[when] |= kind;
+      ++fired;
+      if (id < kBudget) add();
+      if (id < kBudget && next() % 4 == 0) add();  // fan out
     });
   };
-  for (int i = 0; i < 400; ++i) add(2);
-  eq.run();
+  for (int i = 0; i < 64; ++i) add();
 
-  ASSERT_EQ(fired.size(), expected.size());
-  // expected is in id (= seq) order; a stable sort by tick yields the
-  // required (tick, seq) execution order.
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (std::size_t i = 0; i < fired.size(); ++i)
-    ASSERT_EQ(fired[i], expected[i].second) << "at event " << i;
+  while (!eq.empty()) {
+    const auto probe = eq.peek_next_tick();
+    ASSERT_TRUE(probe.has_value());
+    ASSERT_FALSE(ref.empty());
+    ASSERT_EQ(*probe, ref.begin()->first);
+    ASSERT_EQ(eq.pending(), ref.size());
+    switch (next() % 3) {
+      case 0:
+        eq.step();
+        break;
+      case 1: {  // may cross empty time
+        const Tick t = eq.now() + next() % 2048;
+        eq.run_until(t);
+        ASSERT_GE(eq.now(), t);
+        ASSERT_TRUE(ref.empty() || ref.begin()->first > t);
+        break;
+      }
+      default:  // run exactly to the probed horizon
+        eq.run_until(*probe);
+        ASSERT_TRUE(ref.empty() || ref.begin()->first > *probe);
+        break;
+    }
+  }
+
+  EXPECT_TRUE(ref.empty());
+  EXPECT_EQ(fired, id);
+  EXPECT_GE(fired, 20'000u);
+  EXPECT_EQ(eq.executed(), fired);
+  EXPECT_GE(eq.now(), 5 * Tick{8192}) << "the load must lap the ring";
+  EXPECT_EQ(eq.slots(), peak);
+  // Far events relinked into a bucket that already held near events, with
+  // a same-tick cascade appended behind them.
+  std::size_t merged_cascades = 0;
+  for (const auto& [tick, k] : kinds)
+    merged_cascades += k == (kNear | kFar | kSameTick);
+  EXPECT_GE(merged_cascades, 20u);
+}
+
+TEST(EventQueue, SlabIsBoundedByPeakPendingNotByTicksVisited) {
+  // 64 self-rescheduling events cross the ring at least ten times, some
+  // through the far heap; a node is reused as soon as its event fires, so
+  // the slab never outgrows the 64 events ever pending at once.
+  EventQueue eq;
+  constexpr std::size_t kLive = 64;
+  constexpr Tick kEnd = 10 * Tick{8192} + 1;
+  std::uint64_t rng = 0x2545f4914f6cdd1dull;
+  std::size_t max_slots = 0;
+  std::function<void()> tick = [&] {
+    max_slots = std::max(max_slots, eq.slots());
+    if (eq.now() >= kEnd) return;
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    eq.schedule_in(rng % 8 == 0 ? 8192 + rng % 4096 : 1 + rng % 512, tick);
+  };
+  for (std::size_t i = 0; i < kLive; ++i) eq.schedule_in(i, tick);
+  eq.run();
+  EXPECT_GE(eq.now(), kEnd);
+  EXPECT_LE(max_slots, kLive);
+  EXPECT_EQ(eq.slots(), kLive);
 }
 
 }  // namespace
