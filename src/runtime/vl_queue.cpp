@@ -6,7 +6,6 @@
 namespace vl::runtime {
 
 namespace {
-constexpr Tick kPollInterval = 16;     ///< Cycles between control-word polls.
 constexpr int kRefetchThreshold = 64;  ///< Polls before re-issuing vl_fetch.
 }  // namespace
 
@@ -256,7 +255,7 @@ sim::Co<std::optional<Frame>> Consumer::sweep_landed() {
 sim::Co<Frame> Consumer::dequeue_frame() {
   for (;;) {
     if (auto got = co_await try_dequeue_once()) co_return *got;
-    co_await t_.compute(kPollInterval);
+    co_await t_.compute(sim::kDiscoveryPoll);
   }
 }
 
@@ -293,7 +292,7 @@ sim::Co<std::optional<std::vector<std::uint64_t>>> Consumer::try_dequeue(
     if (auto got = co_await try_dequeue_once())
       co_return std::move(got->elems);
     if (i >= poll_budget) co_return std::nullopt;
-    co_await t_.compute(kPollInterval);
+    co_await t_.compute(sim::kDiscoveryPoll);
   }
 }
 

@@ -17,6 +17,12 @@
 
 namespace vl::sim {
 
+/// § III-B discovery cadence: cycles between an idle consumer's polls of a
+/// channel that has no readiness futex — the VL consumer's control-word
+/// poll, and with it the Selector's and the blocking wrappers' poll
+/// backoff over futex-less channels (BLFQ, VL, CAF register reads).
+inline constexpr Tick kDiscoveryPoll = 16;
+
 struct CoreConfig {
   Tick issue_cost = 1;         ///< Port occupancy per issued memory op.
   Tick ctx_switch_cost = 1000; ///< Cycles to swap software threads on a core.

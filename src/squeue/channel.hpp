@@ -159,7 +159,7 @@ class Channel {
   /// Consumer-readiness futex: woken when a message may have become
   /// receivable. nullptr for backends whose consumers discover data by
   /// polling (BLFQ, the VL § III-B control word, CAF register reads) —
-  /// Selector and the blocking wrappers then poll at kPollBackoff.
+  /// Selector and the blocking wrappers then poll at sim::kDiscoveryPoll.
   virtual sim::WaitQueue* recv_wq() { return nullptr; }
 
   /// Consumer-side endpoint re-registration (the lifecycle plane's
@@ -286,11 +286,6 @@ class Channel {
     bool baton = false;
   };
 
-  /// Default blocking-policy backoff for polling backends, and the
-  /// Selector's poll cadence over futex-less channels. Matches the VL
-  /// consumer's control-word poll interval.
-  static constexpr Tick kPollBackoff = 16;
-
   /// The message is passed so a class-aware backend (CAF class caps) can
   /// sample / park on its per-class credit futex.
   virtual void sample_send_gates(BlockGates&, const Msg&) {}
@@ -303,7 +298,7 @@ class Channel {
   /// backend futex, or poll. Default: plain poll backoff.
   virtual sim::Co<void> send_blocked(sim::SimThread t, SendStatus,
                                      BlockGates&, const Msg&) {
-    co_await t.compute(kPollBackoff);
+    co_await t.compute(sim::kDiscoveryPoll);
   }
 
   /// Applied when a blocking receive's attempt found nothing. Default:
@@ -312,7 +307,7 @@ class Channel {
     if (sim::WaitQueue* wq = recv_wq())
       co_await t.park(*wq, gate);
     else
-      co_await t.compute(kPollBackoff);
+      co_await t.compute(sim::kDiscoveryPoll);
   }
 };
 

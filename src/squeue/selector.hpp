@@ -78,7 +78,7 @@ class Selector {
       if (all_parkable)
         co_await t.park_any(wqs_, gates_);
       else
-        co_await t.compute(kPollInterval);
+        co_await t.compute(sim::kDiscoveryPoll);
     }
   }
 
@@ -94,10 +94,6 @@ class Selector {
   }
 
  private:
-  /// Poll cadence when any endpoint lacks a readiness futex — the VL
-  /// consumer's control-word discovery interval.
-  static constexpr Tick kPollInterval = 16;
-
   std::vector<Channel*> chans_;
   std::size_t next_ = 0;  ///< Rotating probe start (fairness).
   // Scratch for the park pass (avoids per-block reallocation).

@@ -65,8 +65,8 @@ class VlChannel : public Channel {
   void sample_send_gates(BlockGates& g, const Msg&) override;
   sim::Co<void> send_blocked(sim::SimThread t, SendStatus why,
                              BlockGates& g, const Msg&) override;
-  // recv_blocked: inherited poll at kPollBackoff — the § III-B control-word
-  // discovery interval; the VLRD does not wake consumers.
+  // recv_blocked: inherited poll at sim::kDiscoveryPoll — the § III-B
+  // control-word discovery interval; the VLRD does not wake consumers.
 
  private:
   using Key = std::pair<CoreId, int>;  // (core, tid)

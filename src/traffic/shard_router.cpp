@@ -1,6 +1,7 @@
 #include "traffic/shard_router.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace vl::traffic {
@@ -24,6 +25,27 @@ void ShardRouter::rebuild_ring() {
     for (std::uint32_t r = 0; r < kVnodes; ++r)
       ring_.emplace_back(hash((std::uint64_t{s} << 32) | r), s);
   std::sort(ring_.begin(), ring_.end());
+
+  // 8 buckets per ring point, so a lookup's scan from its bucket's first
+  // index almost always stops at once.
+  const std::size_t buckets = std::bit_ceil(8 * ring_.size());
+  bucket_shift_ = 64 - std::countr_zero(buckets);
+  bucket_.resize(buckets);
+  std::uint32_t i = 0;
+  const auto n = static_cast<std::uint32_t>(ring_.size());
+  for (std::size_t b = 0; b < buckets; ++b) {
+    while (i < n && (ring_[i].first >> bucket_shift_) < b) ++i;
+    bucket_[b] = i;
+  }
+}
+
+int ShardRouter::owner(std::uint64_t point) const {
+  // Every ring point before the bucket's first index lies in a lower
+  // bucket, so below `point`: the scan stops at upper_bound's answer.
+  std::size_t i = bucket_[point >> bucket_shift_];
+  while (i < ring_.size() && ring_[i].first <= point) ++i;
+  if (i == ring_.size()) i = 0;  // wrap past the top
+  return static_cast<int>(ring_[i].second);
 }
 
 int ShardRouter::shard_for(std::uint64_t tenant) const {
@@ -31,12 +53,7 @@ int ShardRouter::shard_for(std::uint64_t tenant) const {
     const auto it = overrides_.find(tenant);
     if (it != overrides_.end()) return static_cast<int>(it->second);
   }
-  const std::uint64_t point = hash(tenant);
-  auto it = std::upper_bound(
-      ring_.begin(), ring_.end(), point,
-      [](std::uint64_t p, const auto& node) { return p < node.first; });
-  if (it == ring_.end()) it = ring_.begin();  // wrap past the top
-  return static_cast<int>(it->second);
+  return owner(hash(tenant));
 }
 
 void ShardRouter::add_shard() {
@@ -70,23 +87,24 @@ std::size_t ShardRouter::rebalance(const std::vector<std::uint64_t>& load,
   }
   if (static_cast<double>(load[hot]) <= ratio * mean || hot == cold) return 0;
 
-  // Move tenants in proportion to the hot shard's excess over the mean,
-  // assuming load tracks population on that shard.
-  const auto counts = census(population);
+  // One population walk: count the hot shard's tenants and keep its lowest
+  // ids, enough for any move. Then move tenants in proportion to the hot
+  // shard's excess over the mean, assuming load tracks population there.
+  std::uint64_t hot_tenants = 0;
+  std::vector<std::uint64_t> movable;
+  for (std::uint64_t t = 0; t < population; ++t) {
+    if (shard_for(t) != static_cast<int>(hot)) continue;
+    ++hot_tenants;
+    if (movable.size() < max_moves) movable.push_back(t);
+  }
   const double excess_frac =
       (static_cast<double>(load[hot]) - mean) / static_cast<double>(load[hot]);
-  std::size_t target = static_cast<std::size_t>(
-      static_cast<double>(counts[hot]) * excess_frac);
-  target = std::min(target, max_moves);
-  if (target == 0) return 0;
-
-  std::size_t moved = 0;
-  for (std::uint64_t t = 0; t < population && moved < target; ++t) {
-    if (shard_for(t) != static_cast<int>(hot)) continue;
-    overrides_[t] = static_cast<std::uint32_t>(cold);
-    ++moved;
-  }
-  return moved;
+  const std::size_t target = std::min(
+      static_cast<std::size_t>(static_cast<double>(hot_tenants) * excess_frac),
+      max_moves);
+  for (std::size_t k = 0; k < target; ++k)
+    overrides_[movable[k]] = static_cast<std::uint32_t>(cold);
+  return target;
 }
 
 }  // namespace vl::traffic
