@@ -147,6 +147,14 @@ inline bool reject_ignored(int argc, const char* const* argv,
   return false;
 }
 
+/// Prints "unsupported combination: WHY" unless `why` is empty, and
+/// returns whether it printed — the caller then exits 2.
+inline bool reject_unsupported(const std::string& why) {
+  if (!why.empty())
+    std::fprintf(stderr, "unsupported combination: %s\n", why.c_str());
+  return !why.empty();
+}
+
 /// `a` is one of `names`.
 inline bool one_of(std::string_view a,
                    std::initializer_list<std::string_view> names) {

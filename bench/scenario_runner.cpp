@@ -35,56 +35,12 @@
 #include "replay/lifecycle.hpp"
 #include "replay/trace.hpp"
 #include "replay/warm_restart.hpp"
-#include "traffic/engine.hpp"
-#include "traffic/sharded_engine.hpp"
+#include "traffic/cell.hpp"
 #include "workloads/runner.hpp"
 
 namespace {
 
 using vl::squeue::Backend;
-
-/// Run one (scenario, backend) cell, honouring the --no-qos ablation and
-/// the --batch override (0 = keep the preset's per-tenant batches). With
-/// shards > 0 the cell runs on the sharded mesh engine instead (the
-/// merged EngineResult keeps the single-shard CSV/table shape), with
-/// --tenants overriding the preset's logical population.
-vl::traffic::EngineResult run_cell(const std::string& name, Backend b,
-                                   std::uint64_t seed, int scale,
-                                   bool no_qos, std::uint32_t batch,
-                                   int shards = 0, int sim_threads = 1,
-                                   std::uint64_t tenants = 0,
-                                   const vl::obs::RunHooks* obs = nullptr,
-                                   bool no_supervisor = false,
-                                   const vl::fault::FaultSpec& faults = {},
-                                   const vl::replay::LifecycleSpec& churn = {},
-                                   const vl::replay::Trace* replay = nullptr) {
-  vl::traffic::ScenarioSpec run = *vl::traffic::find_scenario(name);
-  if (no_qos && run.qos) run.qos = false;
-  if (no_supervisor) run.supervisor = false;
-  if (!faults.empty()) run.faults = faults;
-  if (!churn.empty()) run.lifecycle = churn;
-  run.replay = replay;
-  if (batch) run = vl::traffic::with_batch(run, batch);
-  if (shards > 0) {
-    vl::traffic::ShardedOptions opts;
-    opts.shards = shards;
-    opts.sim_threads = sim_threads;
-    opts.population = tenants;
-    opts.obs = obs;
-    const vl::traffic::ShardedResult r =
-        vl::traffic::run_sharded(run, b, seed, opts, scale);
-    std::fprintf(stderr,
-                 "sharded: shards=%d sim_threads=%d cross_shard=%llu "
-                 "epochs=%llu window_stalls=%llu rebalanced=%llu\n",
-                 r.shards, r.sim_threads,
-                 static_cast<unsigned long long>(r.cross_shard),
-                 static_cast<unsigned long long>(r.epochs),
-                 static_cast<unsigned long long>(r.window_stalls),
-                 static_cast<unsigned long long>(r.rebalanced));
-    return r.engine;
-  }
-  return vl::traffic::run_spec(run, b, seed, scale, obs);
-}
 
 /// --assert-slo CLASS=PCT, the CI chaos-smoke gate.
 struct SloAssert {
@@ -118,64 +74,55 @@ void write_file(const std::string& path, const std::string& text) {
   std::fclose(f);
 }
 
-int run_sweep(const std::vector<std::string>& scenarios,
-              const std::vector<Backend>& backends,
-              const std::vector<int>& scales, const std::vector<int>& batches,
-              std::uint64_t seed, bool no_qos, bool no_supervisor,
-              const vl::fault::FaultSpec& faults) {
+/// The --sweep table: `cells` in groups of `per_row` scenarios, one
+/// (backend, scale, batch) row per group — per row, the geometric mean
+/// across scenarios of delivered Mmsgs/s, ticks, ev/msg and latency-class
+/// p99, and SLO attainment over every SLO-carrying tenant.
+int run_sweep(const std::vector<vl::traffic::Cell>& cells,
+              std::size_t per_row) {
   vl::TextTable tt({"backend", "scale", "batch", "scenarios",
                     "geomean_Mmsg/s", "geomean_ticks", "geomean_ev/msg",
                     "geomean_p99_lat", "slo_att_%"});
-  for (Backend b : backends) {
-    for (int scale : scales) {
-      for (int batch : batches) {
-      std::vector<double> rates, ticks, evpm, lat_p99s;
-      std::uint64_t slo_delivered = 0, slo_within = 0;
-      for (const auto& name : scenarios) {
-        const vl::traffic::EngineResult r = run_cell(
-            name, b, seed, scale, no_qos, static_cast<std::uint32_t>(batch),
-            0, 1, 0, nullptr, no_supervisor, faults);
-        const double secs = r.metrics.ns * 1e-9;
-        const auto delivered = r.metrics.total_delivered();
-        rates.push_back(secs > 0
-                            ? static_cast<double>(delivered) / secs / 1e6
-                            : 0.0);
-        ticks.push_back(static_cast<double>(r.metrics.ticks));
-        evpm.push_back(delivered ? static_cast<double>(r.events) /
-                                       static_cast<double>(delivered)
-                                 : 0.0);
-        // Per-class view: the latency class's p99 across the scenarios that
-        // define one, and overall SLO attainment across SLO-carrying
-        // tenants — the sweep-level QoS figures of merit.
-        for (const auto& c : r.metrics.by_class()) {
-          if (c.cls == vl::QosClass::kLatency && c.agg.delivered)
-            lat_p99s.push_back(
-                static_cast<double>(c.agg.latency.percentile(99)));
-          slo_delivered += c.slo_delivered;
-          slo_within += c.slo_within;
-        }
-        std::fprintf(stderr,
-                     "sweep: %s backend=%s scale=%d batch=%d ticks=%llu\n",
-                     name.c_str(), r.backend.c_str(), scale, batch,
-                     static_cast<unsigned long long>(r.metrics.ticks));
+  for (std::size_t row = 0; row < cells.size(); row += per_row) {
+    std::vector<double> rates, ticks, evpm, lat_p99s;
+    std::uint64_t slo_delivered = 0, slo_within = 0;
+    for (std::size_t i = row; i < row + per_row; ++i) {
+      const vl::traffic::EngineResult r = vl::traffic::run(cells[i]).engine;
+      const double secs = r.metrics.ns * 1e-9;
+      const auto delivered = r.metrics.total_delivered();
+      rates.push_back(
+          secs > 0 ? static_cast<double>(delivered) / secs / 1e6 : 0.0);
+      ticks.push_back(static_cast<double>(r.metrics.ticks));
+      evpm.push_back(delivered ? static_cast<double>(r.events) /
+                                     static_cast<double>(delivered)
+                               : 0.0);
+      for (const auto& c : r.metrics.by_class()) {
+        if (c.cls == vl::QosClass::kLatency && c.agg.delivered)
+          lat_p99s.push_back(
+              static_cast<double>(c.agg.latency.percentile(99)));
+        slo_delivered += c.slo_delivered;
+        slo_within += c.slo_within;
       }
-      tt.add_row({to_string(b), std::to_string(scale), std::to_string(batch),
-                  std::to_string(scenarios.size()),
-                  vl::TextTable::num(vl::geomean(rates), 3),
-                  vl::TextTable::num(vl::geomean(ticks), 0),
-                  vl::TextTable::num(vl::geomean(evpm), 1),
-                  lat_p99s.empty()
-                      ? std::string("-")
-                      : vl::TextTable::num(vl::geomean(lat_p99s), 0),
-                  slo_delivered
-                      ? vl::TextTable::num(100.0 *
-                                               static_cast<double>(slo_within) /
-                                               static_cast<double>(
-                                                   slo_delivered),
-                                           1)
-                      : std::string("-")});
-      }
+      std::fprintf(stderr,
+                   "sweep: %s backend=%s scale=%d batch=%u ticks=%llu\n",
+                   r.scenario.c_str(), r.backend.c_str(), r.scale,
+                   cells[i].batch,
+                   static_cast<unsigned long long>(r.metrics.ticks));
     }
+    const vl::traffic::Cell& head = cells[row];
+    tt.add_row({to_string(head.backend), std::to_string(head.scale),
+                std::to_string(head.batch), std::to_string(per_row),
+                vl::TextTable::num(vl::geomean(rates), 3),
+                vl::TextTable::num(vl::geomean(ticks), 0),
+                vl::TextTable::num(vl::geomean(evpm), 1),
+                lat_p99s.empty() ? std::string("-")
+                                 : vl::TextTable::num(vl::geomean(lat_p99s), 0),
+                slo_delivered
+                    ? vl::TextTable::num(100.0 *
+                                             static_cast<double>(slo_within) /
+                                             static_cast<double>(slo_delivered),
+                                         1)
+                    : std::string("-")});
   }
   std::printf("%s", tt.render().c_str());
   return 0;
@@ -257,9 +204,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Loss/dup clauses present in --faults.
-  const bool chan_faults = faults.has(vl::fault::FaultKind::kChanLoss) ||
-                           faults.has(vl::fault::FaultKind::kChanDup);
   if (!faults.empty())
     std::fprintf(stderr, "faults: %s\n", faults.summary().c_str());
   if (!churn.empty())
@@ -282,56 +226,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Feature/backend gates: name the unsupported combination instead of
-  // silently ignoring the flag (the engines would run, minus the feature).
-  for (Backend b : backends) {
-    const bool software = b == Backend::kBlfq || b == Backend::kZmq;
-    if (chan_faults && !software) {
-      std::fprintf(stderr,
-                   "unsupported combination: --faults loss/dup with "
-                   "--backend %s — channel loss/dup faults mutate the "
-                   "software rings only (blfq, zmq); the device backends "
-                   "gate them off\n",
-                   to_string(b));
-      return 2;
-    }
-    if (churn.has_reconfig() && b != Backend::kVl &&
-        b != Backend::kVlIdeal) {
-      std::fprintf(stderr,
-                   "unsupported combination: --churn reconfig@ with "
-                   "--backend %s — SQI re-registration exists only on the "
-                   "VL backends (vl, vlideal)\n",
-                   to_string(b));
-      return 2;
-    }
-  }
-  if (!record_path.empty() && !replay_path.empty()) {
-    std::fprintf(stderr,
-                 "unsupported combination: --record with --replay — a "
-                 "replayed run would re-record its own input; pick one\n");
-    return 2;
-  }
-  if (!replay_path.empty() && chan_faults) {
-    std::fprintf(stderr,
-                 "unsupported combination: --replay with --faults loss/dup "
-                 "— a trace is the post-shed stream, loss/dup are already "
-                 "reflected in the recorded ticks\n");
-    return 2;
-  }
-  if (!churn.empty() && shards > 0) {
-    std::fprintf(stderr,
-                 "unsupported combination: --churn with --shards — "
-                 "lifecycle events run on the classic engine only\n");
-    return 2;
-  }
-
   if (warm_restart) {
     for (Backend b : backends) {
       vl::replay::WarmRestartReport rep;
       try {  // software backends have no device state to restore
         rep = vl::replay::run_warm_restart(b, seed);
       } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "unsupported combination: %s\n", e.what());
+        vl::bench::reject_unsupported(e.what());
         return 2;
       }
       std::printf("%s\n", rep.text().c_str());
@@ -341,13 +242,6 @@ int main(int argc, char** argv) {
       }
     }
     return 0;
-  }
-
-  if (sweep) {
-    // The batch sweep dimension defaults to the --batch value (or 1).
-    if (batches.empty()) batches = {batch ? batch : 1};
-    return run_sweep(scenarios, backends, scales, batches, seed, no_qos,
-                     no_supervisor, faults);
   }
 
   // Timeline/trace/record capture one run's time axis; a multi-cell sweep
@@ -394,64 +288,104 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) hooks.tracer = &tracer;
   if (!record_path.empty()) hooks.recorder = &recorder;
 
+  // One cell per (scenario, backend), or per (backend, scale, batch,
+  // scenario) for --sweep, every one checked before any runs: a flag an
+  // engine cannot honour exits 2 naming why, instead of being ignored.
+  auto cell_for = [&](const std::string& name, Backend b, int sc, int bt) {
+    vl::traffic::Cell c(*vl::traffic::find_scenario(name), b, seed, sc,
+                        hooks.any() ? &hooks : nullptr);
+    if (no_qos) c.spec.qos = false;
+    if (no_supervisor) c.spec.supervisor = false;
+    if (!faults.empty()) c.spec.faults = faults;
+    if (!churn.empty()) c.spec.lifecycle = churn;
+    if (replay_trace) c.spec.replay = &*replay_trace;
+    c.batch = static_cast<std::uint32_t>(bt);
+    c.shards = shards;
+    c.sim_threads = sim_threads;
+    c.population = tenants;
+    return c;
+  };
+  std::vector<vl::traffic::Cell> cells;
+  if (sweep) {
+    // The batch sweep dimension defaults to the --batch value (or 1).
+    if (batches.empty()) batches = {batch ? batch : 1};
+    for (Backend b : backends)
+      for (int sc : scales)
+        for (int bt : batches)
+          for (const auto& name : scenarios)
+            cells.push_back(cell_for(name, b, sc, bt));
+  } else {
+    for (const auto& name : scenarios)
+      for (Backend b : backends)
+        cells.push_back(cell_for(name, b, scale, batch));
+  }
+  for (const vl::traffic::Cell& c : cells)
+    if (vl::bench::reject_unsupported(c.check())) return 2;
+  if (sweep) return run_sweep(cells, scenarios.size());
+
   bool slo_ok = true;
   int slo_cells = 0;  // cells with SLO-carrying deliveries in slo.cls
   bool conserved = true;  // --churn zero-loss check
   std::string metrics_json;  // Accumulated `runs` array body.
   bool header_done = false;
-  for (const auto& name : scenarios) {
-    for (Backend b : backends) {
-      vl::traffic::EngineResult r;
-      try {
-        r = run_cell(name, b, seed, scale, no_qos, batch, shards,
-                     sim_threads, tenants, hooks.any() ? &hooks : nullptr,
-                     no_supervisor, faults, churn,
-                     replay_trace ? &*replay_trace : nullptr);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
+  for (const vl::traffic::Cell& cell : cells) {
+    vl::traffic::ShardedResult sr;
+    try {
+      sr = vl::traffic::run(cell);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
+    }
+    if (cell.shards > 0)
+      std::fprintf(stderr,
+                   "sharded: shards=%d sim_threads=%d cross_shard=%llu "
+                   "epochs=%llu window_stalls=%llu rebalanced=%llu\n",
+                   sr.shards, sr.sim_threads,
+                   static_cast<unsigned long long>(sr.cross_shard),
+                   static_cast<unsigned long long>(sr.epochs),
+                   static_cast<unsigned long long>(sr.window_stalls),
+                   static_cast<unsigned long long>(sr.rebalanced));
+    const vl::traffic::EngineResult& r = sr.engine;
+    // Churn conservation: a tenant leaving/rejoining must strand nothing
+    // — every generated message is delivered or accounted as dropped.
+    if (!churn.empty()) {
+      for (const auto& t : r.metrics.tenants) {
+        if (t.generated == t.delivered + t.dropped) continue;
+        std::fprintf(stderr,
+                     "churn: conservation VIOLATED for tenant %s: "
+                     "generated=%llu delivered=%llu dropped=%llu\n",
+                     t.tenant.c_str(),
+                     static_cast<unsigned long long>(t.generated),
+                     static_cast<unsigned long long>(t.delivered),
+                     static_cast<unsigned long long>(t.dropped));
+        conserved = false;
       }
-      // Churn conservation: a tenant leaving/rejoining must strand nothing
-      // — every generated message is delivered or accounted as dropped.
-      if (!churn.empty()) {
-        for (const auto& t : r.metrics.tenants) {
-          if (t.generated == t.delivered + t.dropped) continue;
-          std::fprintf(stderr,
-                       "churn: conservation VIOLATED for tenant %s: "
-                       "generated=%llu delivered=%llu dropped=%llu\n",
-                       t.tenant.c_str(),
-                       static_cast<unsigned long long>(t.generated),
-                       static_cast<unsigned long long>(t.delivered),
-                       static_cast<unsigned long long>(t.dropped));
-          conserved = false;
-        }
+    }
+    if (!slo.cls.empty()) {
+      for (const auto& c : r.metrics.by_class()) {
+        if (to_string(c.cls) != slo.cls || !c.slo_delivered) continue;
+        ++slo_cells;
+        const double att = 100.0 * static_cast<double>(c.slo_within) /
+                           static_cast<double>(c.slo_delivered);
+        std::fprintf(stderr, "assert-slo: %s %s %s=%.2f%% (need %.2f%%)\n",
+                     r.scenario.c_str(), r.backend.c_str(), slo.cls.c_str(),
+                     att, slo.pct);
+        if (att < slo.pct) slo_ok = false;
       }
-      if (!slo.cls.empty()) {
-        for (const auto& c : r.metrics.by_class()) {
-          if (to_string(c.cls) != slo.cls || !c.slo_delivered) continue;
-          ++slo_cells;
-          const double att = 100.0 * static_cast<double>(c.slo_within) /
-                             static_cast<double>(c.slo_delivered);
-          std::fprintf(stderr, "assert-slo: %s %s %s=%.2f%% (need %.2f%%)\n",
-                       name.c_str(), r.backend.c_str(), slo.cls.c_str(),
-                       att, slo.pct);
-          if (att < slo.pct) slo_ok = false;
-        }
-      }
-      // One shared CSV header across the whole sweep.
-      const std::string csv = r.csv();
-      const std::size_t nl = csv.find('\n');
-      std::fputs(header_done ? csv.c_str() + nl + 1 : csv.c_str(), stdout);
-      header_done = true;
-      if (!quiet) std::fprintf(stderr, "%s\n", r.table().c_str());
-      if (!metrics_json_path.empty()) {
-        if (!metrics_json.empty()) metrics_json += ",\n";
-        metrics_json += "{\"scenario\":\"" + r.scenario + "\",\"backend\":\"" +
-                        r.backend + "\",\"seed\":" + std::to_string(r.seed) +
-                        ",\"scale\":" + std::to_string(r.scale) +
-                        ",\"events\":" + std::to_string(r.events) +
-                        ",\"metrics\":" + r.metrics.json() + "}";
-      }
+    }
+    // One shared CSV header across the whole sweep.
+    const std::string csv = r.csv();
+    const std::size_t nl = csv.find('\n');
+    std::fputs(header_done ? csv.c_str() + nl + 1 : csv.c_str(), stdout);
+    header_done = true;
+    if (!quiet) std::fprintf(stderr, "%s\n", r.table().c_str());
+    if (!metrics_json_path.empty()) {
+      if (!metrics_json.empty()) metrics_json += ",\n";
+      metrics_json += "{\"scenario\":\"" + r.scenario + "\",\"backend\":\"" +
+                      r.backend + "\",\"seed\":" + std::to_string(r.seed) +
+                      ",\"scale\":" + std::to_string(r.scale) +
+                      ",\"events\":" + std::to_string(r.events) +
+                      ",\"metrics\":" + r.metrics.json() + "}";
     }
   }
   if (!timeline_path.empty()) {

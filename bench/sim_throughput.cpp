@@ -36,9 +36,8 @@
 #include "obs/hooks.hpp"
 #include "obs/timeline.hpp"
 #include "replay/trace.hpp"
-#include "traffic/engine.hpp"
+#include "traffic/cell.hpp"
 #include "traffic/metrics.hpp"
-#include "traffic/sharded_engine.hpp"
 #include "workloads/runner.hpp"
 
 namespace {
@@ -181,78 +180,59 @@ Row run_workload_row(const std::string& scenario, Backend backend,
   return finish_row(row, t0, t1);
 }
 
-/// Record the base preset's post-shed send stream in memory, then re-run
-/// the same (scenario, backend, seed) cell with every producer paced by
-/// the trace. The row reports the *replay* run; `fail` is set when the
-/// replay does not reproduce the recorded delivered count exactly (the
-/// headline conservation property CI gates on).
-Row run_replay_row(const std::string& scenario, Backend backend,
-                   std::uint64_t seed, int scale, bool* fail) {
-  const std::string base = scenario.substr(7);
-  vl::traffic::ScenarioSpec spec = *vl::traffic::find_scenario(base);
-  spec.supervisor = false;  // match the plain bench row: static quotas
-  vl::replay::TraceRecorder rec;
-  vl::obs::RunHooks hooks;
-  hooks.recorder = &rec;
-  const vl::traffic::EngineResult recorded =
-      vl::traffic::run_spec(spec, backend, seed, scale, &hooks);
-  const vl::replay::Trace trace = rec.finish();
-
-  vl::traffic::ScenarioSpec rspec = *vl::traffic::find_scenario(base);
-  rspec.supervisor = false;
-  rspec.replay = &trace;
-  const auto t0 = std::chrono::steady_clock::now();
-  const vl::traffic::EngineResult r =
-      vl::traffic::run_spec(rspec, backend, seed, scale);
-  const auto t1 = std::chrono::steady_clock::now();
-  if (r.metrics.total_delivered() != recorded.metrics.total_delivered()) {
-    std::fprintf(
-        stderr, "FAIL: %s/%s replay delivered %llu != recorded %llu\n",
-        scenario.c_str(), r.backend.c_str(),
-        static_cast<unsigned long long>(r.metrics.total_delivered()),
-        static_cast<unsigned long long>(recorded.metrics.total_delivered()));
-    if (fail) *fail = true;
-  }
-
-  Row row;
-  row.scenario = scenario;
-  row.backend = r.backend;
-  row.events = r.events;
-  row.ticks = r.metrics.ticks;
-  row.delivered = r.metrics.total_delivered();
-  row.lat_p99 = latency_p99(r.metrics);
-  return finish_row(row, t0, t1);
-}
-
-Row run_one(const RunSpec& rs, std::uint64_t seed, int scale,
-            const vl::fault::FaultSpec& faults, bool* replay_fail) {
-  const auto& [scenario, backend, batch, shards, timeline, sup] = rs;
-  if (is_workload_row(scenario)) return run_workload_row(scenario, backend, scale);
-  if (is_replay_row(scenario))
-    return run_replay_row(scenario, backend, seed, scale, replay_fail);
-  vl::traffic::ScenarioSpec spec = *vl::traffic::find_scenario(scenario);
+/// The traffic cell a row runs — none for a wl- row; a replay- row's is its
+/// base preset's plain cell, recorded and then replayed.
+std::optional<vl::traffic::Cell> cell_for(const RunSpec& rs,
+                                          std::uint64_t seed, int scale,
+                                          const vl::fault::FaultSpec& faults) {
+  if (is_workload_row(rs.scenario)) return std::nullopt;
+  const bool replay = is_replay_row(rs.scenario);
+  vl::traffic::Cell c(*vl::traffic::find_scenario(
+                          rs.scenario.substr(replay ? 7 : 0)),
+                      rs.backend, seed, scale);
   // Benchmark rows control the supervisor explicitly: the plain
   // qos-adversarial-bulk row measures static quotas even though the preset
   // defaults the supervisor on.
-  spec.supervisor = sup;
-  if (!faults.empty()) spec.faults = faults;
+  c.spec.supervisor = rs.sup;
+  if (!replay && !faults.empty()) c.spec.faults = faults;
+  c.batch = static_cast<std::uint32_t>(rs.batch);
+  c.shards = rs.shards;
+  return c;
+}
+
+/// Run `cell` for row `rs`. A replay- row first records the cell's
+/// post-shed send stream in memory, then re-runs it paced by the trace and
+/// reports the replay run; `replay_fail` is set unless the replay
+/// reproduces the recorded delivered count exactly (the headline
+/// conservation property CI gates on).
+Row run_one(const RunSpec& rs, vl::traffic::Cell cell, bool* replay_fail) {
+  const auto& [scenario, backend, batch, shards, timeline, sup] = rs;
   vl::obs::Timeline tl;
+  vl::replay::TraceRecorder rec;
   vl::obs::RunHooks hooks;
-  hooks.timeline = &tl;
-  const vl::obs::RunHooks* obs = timeline ? &hooks : nullptr;
-  const auto t0 = std::chrono::steady_clock::now();
-  vl::traffic::EngineResult r;
-  if (shards > 0) {
-    vl::traffic::ShardedOptions opts;
-    opts.shards = shards;
-    opts.obs = obs;
-    r = vl::traffic::run_sharded(spec, backend, seed, opts, scale).engine;
-  } else {
-    r = batch ? vl::traffic::run_spec(vl::traffic::with_batch(spec, batch),
-                                      backend, seed, scale)
-              : vl::traffic::run_spec(spec, backend, seed, scale, obs);
+  vl::replay::Trace trace;
+  std::uint64_t recorded = 0;
+  if (is_replay_row(scenario)) {
+    hooks.recorder = &rec;
+    cell.obs = &hooks;
+    recorded = vl::traffic::run(cell).engine.metrics.total_delivered();
+    trace = rec.finish();
+    cell.spec.replay = &trace;
+    cell.obs = nullptr;
+  } else if (timeline) {
+    hooks.timeline = &tl;
+    cell.obs = &hooks;
   }
+  const auto t0 = std::chrono::steady_clock::now();
+  const vl::traffic::EngineResult r = vl::traffic::run(cell).engine;
   const auto t1 = std::chrono::steady_clock::now();
+  if (cell.spec.replay && r.metrics.total_delivered() != recorded) {
+    std::fprintf(stderr, "FAIL: %s/%s replay delivered %llu != recorded %llu\n",
+                 scenario.c_str(), r.backend.c_str(),
+                 static_cast<unsigned long long>(r.metrics.total_delivered()),
+                 static_cast<unsigned long long>(recorded));
+    *replay_fail = true;
+  }
 
   Row row;
   // Batched/sharded/timeline cells are their own (scenario, backend) key in
@@ -362,12 +342,17 @@ int main(int argc, char** argv) {
                    base.c_str());
       return 2;
     }
-    if (replay && (batch || shards > 0)) {
-      std::fprintf(stderr,
-                   "replay rows record and re-run the plain cell; they do "
-                   "not combine with --batch/--shards\n");
+    // A wl- row runs a workload kernel, a replay- row records and re-runs
+    // the plain cell: name a flag either would ignore.
+    using vl::bench::one_of;
+    if ((wl || replay) &&
+        vl::bench::reject_ignored(
+            argc, argv, wl ? "a wl- row" : "a replay- row",
+            [wl](std::string_view a) {
+              return one_of(a, {"--shards", "--batch", "--faults"}) ||
+                     (wl && one_of(a, {"--seed", "--no-supervisor"}));
+            }))
       return 2;
-    }
     const std::vector<Backend> bs =
         vl::bench::parse_backends(backend_s.empty() ? "all" : backend_s);
     if (bs.empty()) {
@@ -384,12 +369,22 @@ int main(int argc, char** argv) {
     matrix.assign(std::begin(kDefaultMatrix), std::end(kDefaultMatrix));
   }
 
+  // Every traffic row's cell is checked before any runs.
+  std::vector<std::optional<vl::traffic::Cell>> cells;
+  for (const RunSpec& rs : matrix) {
+    cells.push_back(cell_for(rs, seed, scale, faults));
+    if (cells.back() && vl::bench::reject_unsupported(cells.back()->check()))
+      return 2;
+  }
+
   vl::bench::print_header("sim_throughput",
                           "kernel events & host throughput per scenario");
   std::vector<Row> rows;
   bool replay_fail = false;
-  for (const RunSpec& rs : matrix)
-    rows.push_back(run_one(rs, seed, scale, faults, &replay_fail));
+  for (std::size_t i = 0; i < matrix.size(); ++i)
+    rows.push_back(cells[i] ? run_one(matrix[i], *cells[i], &replay_fail)
+                            : run_workload_row(matrix[i].scenario,
+                                               matrix[i].backend, scale));
 
   vl::TextTable tt({"scenario", "backend", "events", "sim_ticks", "delivered",
                     "lat_p99", "ev/msg", "wall_ms", "events/s", "Mticks/s"});

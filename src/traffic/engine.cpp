@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "common/csv.hpp"
@@ -83,9 +82,9 @@ void run_sampled(runtime::Machine& m, obs::Timeline& tl, Tick period,
 
 EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
                          int scale, const obs::RunHooks* obs) {
-  node::require_valid(raw);
-  const ScenarioSpec spec = scaled(raw, scale);
   const squeue::Backend backend = f_.backend();
+  node::require_runnable(raw, backend, nullptr);
+  const ScenarioSpec spec = scaled(raw, scale);
 
   // Shared setup; the node arms the fault plane before any actor is
   // spawned, so its stall events hold fixed positions in the deterministic
@@ -95,12 +94,6 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
 
   std::unique_ptr<replay::LifecyclePlane> lplane;
   if (!spec.lifecycle.empty()) {
-    if (spec.lifecycle.has_reconfig() && backend != squeue::Backend::kVl &&
-        backend != squeue::Backend::kVlIdeal)
-      throw std::invalid_argument(
-          "lifecycle: reconfig@ is SQI re-registration — only the VL "
-          "backends have a registration to drop; backend '" +
-          std::string(squeue::to_string(backend)) + "' does not");
     std::vector<std::string> names;
     for (const auto& t : spec.tenants) names.push_back(t.name);
     lplane = std::make_unique<replay::LifecyclePlane>(spec.lifecycle, names);
@@ -300,29 +293,6 @@ runtime::ChannelDemand channel_demand_for(const ScenarioSpec& spec,
                                  cfg.vlrd.num_devices;
   }
   return d;
-}
-
-EngineResult run_spec(const ScenarioSpec& spec, squeue::Backend backend,
-                      std::uint64_t seed, int scale,
-                      const obs::RunHooks* obs) {
-  runtime::Machine m(machine_config_for(spec, backend));
-  squeue::ChannelFactory f(m, backend);
-  Engine eng(m, f);
-  return eng.run(spec, seed, scale, obs);
-}
-
-EngineResult run_scenario(const std::string& name, squeue::Backend backend,
-                          std::uint64_t seed, int scale,
-                          const obs::RunHooks* obs) {
-  const ScenarioSpec* spec = find_scenario(name);
-  if (!spec) throw std::invalid_argument("unknown scenario: " + name);
-  return run_spec(*spec, backend, seed, scale, obs);
-}
-
-ScenarioSpec with_batch(const ScenarioSpec& spec, std::uint32_t batch) {
-  ScenarioSpec out = spec;
-  for (auto& t : out.tenants) t.batch = batch;
-  return out;
 }
 
 }  // namespace vl::traffic

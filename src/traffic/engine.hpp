@@ -96,22 +96,4 @@ runtime::ChannelDemand channel_demand_for(const ScenarioSpec& spec,
                                           squeue::Backend backend,
                                           const sim::SystemConfig& cfg);
 
-/// Build a fresh machine + factory for `backend` (using machine_config_for,
-/// so TenantSpec QoS classes map onto the hardware knobs when spec.qos is
-/// set) and run `spec` at `scale`. The spec-level entry point for QoS
-/// on/off experiments. Throws std::invalid_argument for an invalid spec.
-EngineResult run_spec(const ScenarioSpec& spec, squeue::Backend backend,
-                      std::uint64_t seed, int scale = 1,
-                      const obs::RunHooks* obs = nullptr);
-
-/// Convenience: run_spec over the named preset. Throws
-/// std::invalid_argument for an unknown scenario or invalid spec.
-EngineResult run_scenario(const std::string& name, squeue::Backend backend,
-                          std::uint64_t seed, int scale = 1,
-                          const obs::RunHooks* obs = nullptr);
-
-/// Copy of `spec` with every tenant's injection batch overridden — the
-/// bench CLIs' `--batch` knob (TenantSpec::batch).
-ScenarioSpec with_batch(const ScenarioSpec& spec, std::uint32_t batch);
-
 }  // namespace vl::traffic

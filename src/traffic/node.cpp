@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "sim/sharded.hpp"
+#include "traffic/cell.hpp"
 
 namespace vl::traffic::node {
 
@@ -43,10 +44,13 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-void require_valid(const ScenarioSpec& spec) {
+void require_runnable(const ScenarioSpec& spec, squeue::Backend backend,
+                      const ShardedOptions* mesh) {
   const std::string err = validate(spec);
   if (!err.empty())
     throw std::invalid_argument("invalid scenario '" + spec.name + "': " + err);
+  const std::string why = unsupported(spec, backend, mesh);
+  if (!why.empty()) throw std::invalid_argument(why);
 }
 
 std::vector<int> producer_tenants(const ScenarioSpec& spec) {
@@ -64,21 +68,6 @@ Run::Run(const ScenarioSpec& spec, squeue::Backend backend, std::uint64_t seed,
          const obs::RunHooks* obs, int shards, bool sharded)
     : spec(spec), backend(backend), seed(seed), obs(obs), sharded(sharded) {
   trace = spec.replay;
-  if (trace) {
-    if (trace->sharded != sharded)
-      throw std::invalid_argument(
-          "replay: trace '" + trace->scenario + "' was recorded by the " +
-          (trace->sharded ? "sharded engine; replay it via run_sharded"
-                          : "classic engine; replay it via traffic::run"));
-    if (trace->producers != static_cast<std::uint32_t>(spec.producers) ||
-        trace->tenants != spec.tenants.size())
-      throw std::invalid_argument(
-          "replay: trace shape (producers=" + std::to_string(trace->producers) +
-          ", tenants=" + std::to_string(trace->tenants) +
-          ") does not match scenario '" + spec.name + "' (producers=" +
-          std::to_string(spec.producers) +
-          ", tenants=" + std::to_string(spec.tenants.size()) + ")");
-  }
   if (obs && obs->recorder) {
     rec = obs->recorder;
     rec->begin(spec.name, squeue::to_string(backend), seed,

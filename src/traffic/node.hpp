@@ -16,8 +16,8 @@
 // validate() bounds tenants to 255 (0xff marks a pill) and closed-loop
 // producers to 256 (acks route back on the masked id).
 //
-// Internal to src/traffic: the public entry points are engine.hpp and
-// sharded_engine.hpp.
+// Internal to src/traffic: the public entry points are cell.hpp,
+// engine.hpp and sharded_engine.hpp.
 
 #include <cstdint>
 #include <memory>
@@ -39,6 +39,10 @@
 
 namespace vl::sim {
 class ShardedSim;
+}
+
+namespace vl::traffic {
+struct ShardedOptions;
 }
 
 namespace vl::traffic::node {
@@ -71,8 +75,11 @@ std::uint8_t payload_words(squeue::Backend backend, std::uint8_t words);
 /// FNV-1a fold of one 64-bit value — the per-node delivery digest.
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v);
 
-/// Throw std::invalid_argument naming the first validate() failure.
-void require_valid(const ScenarioSpec& spec);
+/// Throw std::invalid_argument naming the first validate() failure, else
+/// the reason the engine `mesh` selects cannot run the spec (unsupported()
+/// in traffic/cell.hpp: null is the classic engine).
+void require_runnable(const ScenarioSpec& spec, squeue::Backend backend,
+                      const ShardedOptions* mesh);
 
 /// Tenant index of every producer id: ids are dealt to tenants in order,
 /// tenant_producer_split(spec) apiece.
@@ -138,8 +145,8 @@ class Routing {
 class Node;
 
 /// Run-wide state every node of one run shares, and the one setup path
-/// both drivers take: replay-shape checks, recorder begin, frame width,
-/// the fault plane, and the QoS supervisor with its timeline.
+/// both drivers take: recorder begin, frame width, the fault plane, and the
+/// QoS supervisor with its timeline.
 class Run {
  public:
   Run(const ScenarioSpec& spec, squeue::Backend backend, std::uint64_t seed,

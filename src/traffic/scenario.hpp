@@ -114,17 +114,18 @@ struct ScenarioSpec {
   fault::FaultSpec faults;
   /// Deterministic lifecycle schedule (replay/lifecycle.hpp): tenant
   /// join/leave churn and SQI re-registration events. Empty = static run.
-  /// Classic engine only; run_sharded rejects specs that carry one. CLIs
-  /// override it with --churn / --reconfig.
+  /// Classic engine only (the rules are unsupported() in traffic/cell.hpp,
+  /// which Cell::check() applies). CLIs override it with --churn.
   replay::LifecycleSpec lifecycle;
   /// Replay source (replay/trace.hpp): when set, every producer ignores
   /// its tenant's arrival/size/count parameters and re-offers the trace's
   /// recorded per-producer (tick, class, size, destination) stream
-  /// verbatim. The trace must match the spec's shape (producer count,
-  /// sharded flag); the engine validates and throws otherwise. Not owned.
+  /// verbatim. The trace must match the spec's shape (producer and tenant
+  /// counts) and engine (unsupported() in traffic/cell.hpp); the engine
+  /// throws otherwise. Not owned.
   const replay::Trace* replay = nullptr;
   /// Sharded-run parameters; population == 0 means the preset was not
-  /// designed for sharding (run_sharded rejects it).
+  /// designed for sharding (unsupported() in traffic/cell.hpp).
   ShardingSpec sharding;
   std::vector<TenantSpec> tenants;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "sim/sharded.hpp"
@@ -123,7 +122,7 @@ Co<void> relay(Shard& sh, SimThread t) {
 ShardedResult run_sharded(const ScenarioSpec& raw, squeue::Backend backend,
                           std::uint64_t seed, const ShardedOptions& opts,
                           int scale) {
-  node::require_valid(raw);
+  node::require_runnable(raw, backend, &opts);
   const ScenarioSpec& spec = raw;  // sharded budget scales globally, below
 
   const std::uint64_t population =
@@ -132,26 +131,6 @@ ShardedResult run_sharded(const ScenarioSpec& raw, squeue::Backend backend,
       (opts.messages ? opts.messages : spec.sharding.messages_total) *
       static_cast<std::uint64_t>(std::max(scale, 1));
   const int S = opts.shards;
-  auto reject_if = [](bool bad, const std::string& why) {
-    if (bad) throw std::invalid_argument(why);
-  };
-  reject_if(S < 1, "shards must be >= 1");
-  reject_if(population == 0,
-            "scenario '" + spec.name + "' has no sharding population");
-  reject_if(messages_total == 0,
-            "scenario '" + spec.name + "' has no sharding message budget");
-  reject_if(spec.topology != Topology::kFanOut &&
-                spec.topology != Topology::kMesh,
-            "sharded runs need a fan-out/mesh topology (channel per consumer)");
-  reject_if(spec.closed_loop, "sharded runs are open-loop only");
-  reject_if(spec.consumers < S,
-            "need at least one consumer per shard (consumers >= shards)");
-  reject_if(!spec.lifecycle.empty(),
-            "lifecycle events (churn/reconfig) run on the classic engine only");
-  for (const auto& t : spec.tenants)
-    reject_if(t.drop_depth > 0, "tenant '" + t.name +
-                                    "': drop_depth shedding runs on the "
-                                    "classic engine only");
 
   node::Run run(spec, backend, seed, opts.obs, S, /*sharded=*/true);
   ShardRouter ring(S);

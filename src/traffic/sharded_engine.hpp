@@ -73,14 +73,12 @@ struct ShardedResult {
   std::vector<std::uint64_t> shard_delivered;
 };
 
-/// Run `spec` across opts.shards shards. Requires a fan-out/mesh topology
-/// (one consumer per channel), open loop, no lifecycle events, no
-/// producer-side shedding (drop_depth), and a sharding block with
-/// population > 0 and messages_total > 0 (after opts overrides). The
-/// global message budget is spread over spec.producers producers
-/// regardless of shard count, so delivered counts match across S — the
-/// equal-work basis of the 1-vs-8-shard comparison. Throws
-/// std::invalid_argument on an unshardable spec.
+/// Run `spec` across opts.shards shards. The spec must be one the mesh can
+/// run: unsupported(spec, backend, &opts) (traffic/cell.hpp) lists the
+/// requirements, and this throws std::invalid_argument with its reason
+/// otherwise. The global message budget is spread over spec.producers
+/// producers regardless of shard count, so delivered counts match across
+/// S — the equal-work basis of the 1-vs-8-shard comparison.
 ShardedResult run_sharded(const ScenarioSpec& spec, squeue::Backend backend,
                           std::uint64_t seed, const ShardedOptions& opts,
                           int scale = 1);

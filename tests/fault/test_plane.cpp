@@ -10,6 +10,7 @@
 
 #include <cstdint>
 
+#include "traffic/cell.hpp"
 #include "traffic/engine.hpp"
 #include "traffic/scenario.hpp"
 #include "traffic/sharded_engine.hpp"
@@ -22,7 +23,7 @@ using traffic::EngineResult;
 using traffic::ScenarioSpec;
 using traffic::ShardedOptions;
 using traffic::find_scenario;
-using traffic::run_spec;
+using traffic::run;
 
 ScenarioSpec with_faults(const char* scenario, const char* faults) {
   ScenarioSpec s = *find_scenario(scenario);
@@ -40,8 +41,8 @@ std::uint64_t total(const traffic::ScenarioMetrics& m,
 TEST(FaultPlane, FaultRunIsByteIdenticalAcrossRepeats) {
   const ScenarioSpec s = with_faults(
       "incast-burst", "stall@20000+15000;flash@10000+30000:factor=0.5");
-  const EngineResult a = run_spec(s, Backend::kVl, 42);
-  const EngineResult b = run_spec(s, Backend::kVl, 42);
+  const EngineResult a = run({s, Backend::kVl, 42}).engine;
+  const EngineResult b = run({s, Backend::kVl, 42}).engine;
   EXPECT_EQ(a.csv(), b.csv());
   EXPECT_EQ(a.events, b.events);
 }
@@ -50,8 +51,8 @@ TEST(FaultPlane, DeviceStallLosesNothingAndStretchesTheRun) {
   const ScenarioSpec plain = *find_scenario("incast-burst");
   const ScenarioSpec stalled =
       with_faults("incast-burst", "stall@20000+40000");
-  const EngineResult base = run_spec(plain, Backend::kVl, 42);
-  const EngineResult r = run_spec(stalled, Backend::kVl, 42);
+  const EngineResult base = run({plain, Backend::kVl, 42}).engine;
+  const EngineResult r = run({stalled, Backend::kVl, 42}).engine;
 
   // A stall is a pure latency event: producers back-pressure through the
   // normal NACK/park paths, so conservation is exact.
@@ -67,7 +68,7 @@ TEST(FaultPlane, DeviceStallLosesNothingAndStretchesTheRun) {
 TEST(FaultPlane, ChanLossShedsAndConserves) {
   const ScenarioSpec s =
       with_faults("incast-burst", "loss@0+10000000:every=4");
-  const EngineResult r = run_spec(s, Backend::kBlfq, 42);
+  const EngineResult r = run({s, Backend::kBlfq, 42}).engine;
   const std::uint64_t gen = total(r.metrics, &traffic::TenantMetrics::generated);
   const std::uint64_t del = total(r.metrics, &traffic::TenantMetrics::delivered);
   const std::uint64_t drop = total(r.metrics, &traffic::TenantMetrics::dropped);
@@ -77,7 +78,7 @@ TEST(FaultPlane, ChanLossShedsAndConserves) {
 
 TEST(FaultPlane, ChanDupDeliversExtraCopies) {
   const ScenarioSpec s = with_faults("incast-burst", "dup@0+10000000:every=4");
-  const EngineResult r = run_spec(s, Backend::kBlfq, 42);
+  const EngineResult r = run({s, Backend::kBlfq, 42}).engine;
   const std::uint64_t gen = total(r.metrics, &traffic::TenantMetrics::generated);
   const std::uint64_t del = total(r.metrics, &traffic::TenantMetrics::delivered);
   EXPECT_GT(del, gen);  // duplicates arrive as real deliveries
@@ -88,9 +89,9 @@ TEST(FaultPlane, ChannelFaultsGateOffHardwareBackends) {
   // loss/dup model software transport faults; the VL hardware path has no
   // such boundary, so the same spec must leave a VL run untouched.
   const ScenarioSpec s = with_faults("incast-burst", "loss@0+10000000:every=4");
-  const EngineResult faulted = run_spec(s, Backend::kVl, 42);
-  const EngineResult plain = run_spec(*find_scenario("incast-burst"),
-                                      Backend::kVl, 42);
+  const EngineResult faulted = run({s, Backend::kVl, 42}).engine;
+  const EngineResult plain =
+      run({*find_scenario("incast-burst"), Backend::kVl, 42}).engine;
   EXPECT_EQ(faulted.csv(), plain.csv());
   EXPECT_EQ(faulted.events, plain.events);
 }
@@ -100,9 +101,9 @@ TEST(FaultPlane, FlashCrowdRescalesArrivals) {
   // over fewer simulated ticks.
   const ScenarioSpec flash =
       with_faults("incast-burst", "flash@0+10000000:factor=0.25");
-  const EngineResult base = run_spec(*find_scenario("incast-burst"),
-                                     Backend::kVl, 42);
-  const EngineResult r = run_spec(flash, Backend::kVl, 42);
+  const EngineResult base =
+      run({*find_scenario("incast-burst"), Backend::kVl, 42}).engine;
+  const EngineResult r = run({flash, Backend::kVl, 42}).engine;
   EXPECT_EQ(total(r.metrics, &traffic::TenantMetrics::delivered),
             total(base.metrics, &traffic::TenantMetrics::delivered));
   EXPECT_LT(r.metrics.ticks, base.metrics.ticks);

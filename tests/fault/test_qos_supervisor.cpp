@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "squeue/factory.hpp"
+#include "traffic/cell.hpp"
 #include "traffic/engine.hpp"
 #include "traffic/scenario.hpp"
 
@@ -170,8 +171,8 @@ TEST(QosSupervisor, SupervisorBeatsStaticQuotasOnAdversarialBulk) {
   traffic::ScenarioSpec off = *spec;
   off.supervisor = false;
 
-  const auto on_r = traffic::run_spec(*spec, squeue::Backend::kVl, 42);
-  const auto off_r = traffic::run_spec(off, squeue::Backend::kVl, 42);
+  const auto on_r = traffic::run({*spec, squeue::Backend::kVl, 42}).engine;
+  const auto off_r = traffic::run({off, squeue::Backend::kVl, 42}).engine;
 
   double att_on = -1, att_off = -1;
   for (const auto& c : on_r.metrics.by_class())

@@ -17,6 +17,7 @@
 #include "obs/timeline.hpp"
 #include "obs/tracer.hpp"
 #include "squeue/factory.hpp"
+#include "traffic/cell.hpp"
 #include "traffic/engine.hpp"
 #include "traffic/sharded_engine.hpp"
 
@@ -29,7 +30,7 @@ TEST(ObsDeterminism, ClassicEngineByteIdenticalWithObsOnAndOff) {
   const ScenarioSpec* spec = find_scenario("qos-incast");
   ASSERT_NE(spec, nullptr);
 
-  const EngineResult plain = run_spec(*spec, Backend::kVl, 42);
+  const EngineResult plain = run({*spec, Backend::kVl, 42}).engine;
 
   obs::Timeline tl;
   obs::Tracer tr;
@@ -37,7 +38,8 @@ TEST(ObsDeterminism, ClassicEngineByteIdenticalWithObsOnAndOff) {
   hooks.timeline = &tl;
   hooks.sample_every = 5000;
   hooks.tracer = &tr;
-  const EngineResult observed = run_spec(*spec, Backend::kVl, 42, 1, &hooks);
+  const EngineResult observed =
+      run({*spec, Backend::kVl, 42, 1, &hooks}).engine;
 
   // Same events, same simulated duration, same CSV bytes.
   EXPECT_EQ(observed.events, plain.events);

@@ -11,6 +11,7 @@
 
 #include "runtime/machine.hpp"
 #include "runtime/vl_queue.hpp"
+#include "traffic/cell.hpp"
 #include "traffic/engine.hpp"
 
 namespace vl::runtime {
@@ -107,7 +108,7 @@ TEST(ChurnSweep, EngineReconfigUnderLoadConservesOnVlBackends) {
     spec.supervisor = false;
     spec.lifecycle = replay::LifecycleSpec::parse(
         "reconfig@20000;leave@30000:tenant=bulk;join@45000:tenant=bulk");
-    const traffic::EngineResult r = traffic::run_spec(spec, b, 42);
+    const traffic::EngineResult r = traffic::run({spec, b, 42}).engine;
     for (const traffic::TenantMetrics& t : r.metrics.tenants) {
       EXPECT_EQ(t.generated, t.delivered + t.dropped)
           << squeue::to_string(b) << "/" << t.tenant;

@@ -13,6 +13,7 @@
 #include <stdexcept>
 
 #include "obs/timeline.hpp"
+#include "traffic/cell.hpp"
 #include "traffic/engine.hpp"
 
 namespace vl::replay {
@@ -116,7 +117,7 @@ TEST(LifecycleEngine, ChurnConservesOnEveryBackend) {
     spec.supervisor = false;
     spec.lifecycle =
         LifecycleSpec::parse("leave@30000:tenant=bulk;join@45000:tenant=bulk");
-    const traffic::EngineResult r = traffic::run_spec(spec, b, 42);
+    const traffic::EngineResult r = traffic::run({spec, b, 42}).engine;
     for (const traffic::TenantMetrics& t : r.metrics.tenants) {
       EXPECT_EQ(t.generated, t.delivered + t.dropped)
           << squeue::to_string(b) << "/" << t.tenant;
@@ -130,24 +131,17 @@ TEST(LifecycleEngine, ChurnedRunIsDeterministic) {
   spec.supervisor = false;
   spec.lifecycle =
       LifecycleSpec::parse("leave@30000:tenant=bulk;join@45000:tenant=bulk");
-  const traffic::EngineResult a = traffic::run_spec(spec, squeue::Backend::kVl, 42);
-  const traffic::EngineResult b = traffic::run_spec(spec, squeue::Backend::kVl, 42);
+  const traffic::EngineResult a =
+      traffic::run({spec, squeue::Backend::kVl, 42}).engine;
+  const traffic::EngineResult b =
+      traffic::run({spec, squeue::Backend::kVl, 42}).engine;
   EXPECT_EQ(a.csv(), b.csv());
 }
 
 TEST(LifecycleEngine, UnknownTenantThrows) {
   traffic::ScenarioSpec spec = *traffic::find_scenario("qos-incast");
   spec.lifecycle = LifecycleSpec::parse("leave@100:tenant=nosuch");
-  EXPECT_THROW(traffic::run_spec(spec, squeue::Backend::kVl, 42),
-               std::invalid_argument);
-}
-
-TEST(LifecycleEngine, ReconfigRejectedOffTheVlBackends) {
-  traffic::ScenarioSpec spec = *traffic::find_scenario("qos-incast");
-  spec.lifecycle = LifecycleSpec::parse("reconfig@20000");
-  EXPECT_THROW(traffic::run_spec(spec, squeue::Backend::kZmq, 42),
-               std::invalid_argument);
-  EXPECT_THROW(traffic::run_spec(spec, squeue::Backend::kCaf, 42),
+  EXPECT_THROW(traffic::run({spec, squeue::Backend::kVl, 42}).engine,
                std::invalid_argument);
 }
 

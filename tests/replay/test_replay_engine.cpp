@@ -1,15 +1,15 @@
 // Record/replay through the traffic engines: a recorded run replayed on
 // the same cell reproduces per-tenant counts exactly (the trace is the
 // post-shed stream) and the latency distribution tick-for-tick; replay is
-// deterministic; re-recording a replay reproduces the trace; shape and
-// engine-kind mismatches throw instead of replaying garbage.
+// deterministic; re-recording a replay reproduces the trace. Shape and
+// engine-kind mismatches are rows of tests/traffic/test_cell.cpp.
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 
 #include "obs/hooks.hpp"
 #include "replay/trace.hpp"
+#include "traffic/cell.hpp"
 #include "traffic/engine.hpp"
 #include "traffic/sharded_engine.hpp"
 
@@ -30,7 +30,7 @@ Recorded record(const std::string& scenario, Backend b, std::uint64_t seed) {
   replay::TraceRecorder rec;
   obs::RunHooks hooks;
   hooks.recorder = &rec;
-  EngineResult r = run_spec(spec, b, seed, /*scale=*/1, &hooks);
+  EngineResult r = run({spec, b, seed, /*scale=*/1, &hooks}).engine;
   return {std::move(r), rec.finish()};
 }
 
@@ -39,7 +39,7 @@ EngineResult replay(const std::string& scenario, Backend b,
   ScenarioSpec spec = *find_scenario(scenario);
   spec.supervisor = false;
   spec.replay = &t;
-  return run_spec(spec, b, seed);
+  return run({spec, b, seed}).engine;
 }
 
 TEST(ReplayEngine, ReproducesRecordedRunExactly) {
@@ -79,7 +79,7 @@ TEST(ReplayEngine, ReRecordingAReplayReproducesTheTrace) {
   replay::TraceRecorder rerec;
   obs::RunHooks hooks;
   hooks.recorder = &rerec;
-  (void)run_spec(spec, Backend::kVl, 42, 1, &hooks);
+  (void)run({spec, Backend::kVl, 42, 1, &hooks}).engine;
   EXPECT_EQ(rerec.finish().records, rec.trace.records);
 }
 
@@ -96,25 +96,6 @@ TEST(ReplayEngine, ForeignBackendReplayConservesEveryRecord) {
     for (const TenantMetrics& t : rep.metrics.tenants)
       EXPECT_EQ(t.dropped, 0u) << t.tenant;
   }
-}
-
-TEST(ReplayEngine, ShapeMismatchThrows) {
-  const Recorded rec = record("qos-incast", Backend::kVl, 42);
-  ScenarioSpec other = *find_scenario("incast-burst");  // different shape
-  other.supervisor = false;
-  other.replay = &rec.trace;
-  EXPECT_THROW(run_spec(other, Backend::kVl, 42), std::invalid_argument);
-}
-
-TEST(ReplayEngine, EngineKindMismatchThrows) {
-  replay::Trace t;
-  t.scenario = "shard-diurnal";
-  t.sharded = true;  // recorded by the sharded engine
-  t.producers = 8;
-  t.tenants = 3;
-  ScenarioSpec spec = *find_scenario("qos-incast");
-  spec.replay = &t;
-  EXPECT_THROW(run_spec(spec, Backend::kVl, 42), std::invalid_argument);
 }
 
 TEST(ReplayEngine, ShardedRecordReplayRoundTrip) {
@@ -138,11 +119,6 @@ TEST(ReplayEngine, ShardedRecordReplayRoundTrip) {
   const auto replayed = run_sharded(rspec, Backend::kVl, 42, opts);
   EXPECT_EQ(replayed.engine.metrics.total_delivered(),
             recorded.engine.metrics.total_delivered());
-
-  // A classic-engine replay of a sharded trace must be rejected.
-  ScenarioSpec classic = *find_scenario("qos-incast");
-  classic.replay = &trace;
-  EXPECT_THROW(run_spec(classic, Backend::kVl, 42), std::invalid_argument);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "squeue/factory.hpp"
+#include "traffic/cell.hpp"
 
 namespace vl::traffic {
 namespace {
@@ -33,7 +34,8 @@ class TrafficOverBackend : public ::testing::TestWithParam<Backend> {};
 TEST_P(TrafficOverBackend, EveryPresetRunsGreenAndConserves) {
   for (const auto& name : scenario_names()) {
     for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{42}}) {
-      const EngineResult r = run_scenario(name, GetParam(), seed);
+      const EngineResult r =
+          run({*find_scenario(name), GetParam(), seed}).engine;
       const ScenarioMetrics& m = r.metrics;
       EXPECT_GT(m.ticks, 0u) << name;
       EXPECT_GT(m.total_delivered(), 0u) << name;
@@ -86,8 +88,10 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, TrafficOverBackend,
                          backend_test_name);
 
 TEST(TrafficEngine, FixedSeedIsByteDeterministic) {
-  const std::string a = run_scenario("incast-burst", Backend::kVl, 42).csv();
-  const std::string b = run_scenario("incast-burst", Backend::kVl, 42).csv();
+  const std::string a =
+      run({*find_scenario("incast-burst"), Backend::kVl, 42}).engine.csv();
+  const std::string b =
+      run({*find_scenario("incast-burst"), Backend::kVl, 42}).engine.csv();
   EXPECT_EQ(a, b);
 }
 
@@ -98,8 +102,8 @@ TEST(TrafficEngine, SeedDeterminismSurvivesParkWakeScheduling) {
   // and per-tenant message counts — on the backends that park the most
   // (ZMQ empty/full/lock waits, VL producer back-pressure).
   for (Backend b : {Backend::kZmq, Backend::kVl, Backend::kCaf}) {
-    const EngineResult r1 = run_scenario("incast-burst", b, 7);
-    const EngineResult r2 = run_scenario("incast-burst", b, 7);
+    const EngineResult r1 = run({*find_scenario("incast-burst"), b, 7}).engine;
+    const EngineResult r2 = run({*find_scenario("incast-burst"), b, 7}).engine;
     EXPECT_EQ(r1.metrics.ticks, r2.metrics.ticks) << squeue::to_string(b);
     EXPECT_EQ(r1.events, r2.events) << squeue::to_string(b);
     EXPECT_EQ(r1.metrics.total_delivered(), r2.metrics.total_delivered());
@@ -117,7 +121,8 @@ TEST(TrafficEngine, BlockedTicksTrackBackpressure) {
   // spend real simulated time blocked inside send(); the per-tenant
   // blocked-ticks counter must surface that (and dwarf the per-message
   // transfer cost under overload).
-  const EngineResult r = run_scenario("incast-burst", Backend::kZmq, 42);
+  const EngineResult r =
+      run({*find_scenario("incast-burst"), Backend::kZmq, 42}).engine;
   std::uint64_t blocked = 0, sent = 0;
   for (const auto& t : r.metrics.tenants) {
     blocked += t.blocked_ticks;
@@ -133,13 +138,16 @@ TEST(TrafficEngine, BlockedTicksTrackBackpressure) {
 }
 
 TEST(TrafficEngine, SeedChangesTheRun) {
-  const std::string a = run_scenario("incast-burst", Backend::kBlfq, 1).csv();
-  const std::string b = run_scenario("incast-burst", Backend::kBlfq, 2).csv();
+  const std::string a =
+      run({*find_scenario("incast-burst"), Backend::kBlfq, 1}).engine.csv();
+  const std::string b =
+      run({*find_scenario("incast-burst"), Backend::kBlfq, 2}).engine.csv();
   EXPECT_NE(a, b);
 }
 
 TEST(TrafficEngine, OverloadShedsAtTheConfiguredDepth) {
-  const EngineResult r = run_scenario("lossy-incast", Backend::kBlfq, 7);
+  const EngineResult r =
+      run({*find_scenario("lossy-incast"), Backend::kBlfq, 7}).engine;
   const auto& t = r.metrics.tenants.at(0);
   EXPECT_GT(t.dropped, 0u);  // offered >> service; shedding must kick in
   EXPECT_GT(t.delivered, 0u);
@@ -149,7 +157,8 @@ TEST(TrafficEngine, OverloadShedsAtTheConfiguredDepth) {
 TEST(TrafficEngine, ClosedLoopBoundsOutstandingLatency) {
   // With a window of 4 and one bottleneck consumer, queue depth can never
   // exceed producers * window.
-  const EngineResult r = run_scenario("closed-loop-incast", Backend::kBlfq, 3);
+  const EngineResult r =
+      run({*find_scenario("closed-loop-incast"), Backend::kBlfq, 3}).engine;
   const auto* spec = find_scenario("closed-loop-incast");
   const double bound =
       static_cast<double>(spec->producers) * spec->window;
@@ -160,13 +169,15 @@ TEST(TrafficEngine, ClosedLoopBoundsOutstandingLatency) {
 }
 
 TEST(TrafficEngine, ScaleMultipliesTraffic) {
-  const EngineResult r1 = run_scenario("steady-pipeline", Backend::kBlfq, 5, 1);
-  const EngineResult r2 = run_scenario("steady-pipeline", Backend::kBlfq, 5, 2);
+  const EngineResult r1 =
+      run({*find_scenario("steady-pipeline"), Backend::kBlfq, 5, 1}).engine;
+  const EngineResult r2 =
+      run({*find_scenario("steady-pipeline"), Backend::kBlfq, 5, 2}).engine;
   EXPECT_EQ(r2.metrics.total_generated(), 2 * r1.metrics.total_generated());
 }
 
 TEST(TrafficEngine, RejectsUnknownAndInvalidScenarios) {
-  EXPECT_THROW(run_scenario("nope", Backend::kBlfq, 1), std::invalid_argument);
+  EXPECT_EQ(find_scenario("nope"), nullptr);
 
   runtime::Machine m;
   squeue::ChannelFactory f(m, Backend::kBlfq);
@@ -185,7 +196,7 @@ TEST(TrafficEngine, ManyProducersOpenLoopConservePerTenant) {
   spec.tenants.back().name = "burst2";
   ASSERT_EQ(spec.tenants.size(), 3u);
   for (auto& t : spec.tenants) t.messages_per_producer = 2;
-  const EngineResult r = run_spec(spec, Backend::kZmq, 42);
+  const EngineResult r = run({spec, Backend::kZmq, 42}).engine;
   const std::vector<int> split = tenant_producer_split(spec);
   ASSERT_EQ(r.metrics.tenants.size(), 3u);
   for (std::size_t i = 0; i < split.size(); ++i) {
@@ -200,7 +211,8 @@ TEST(TrafficEngine, ManyProducersOpenLoopConservePerTenant) {
 }
 
 TEST(TrafficEngine, CsvHasPrefixColumnsAndStableShape) {
-  const EngineResult r = run_scenario("multitenant-mesh", Backend::kZmq, 9);
+  const EngineResult r =
+      run({*find_scenario("multitenant-mesh"), Backend::kZmq, 9}).engine;
   const std::string csv = r.csv();
   EXPECT_EQ(csv.find("scenario,backend,seed,scale,tenant"), 0u);
   // 1 header + 3 tenants + 1 aggregate.

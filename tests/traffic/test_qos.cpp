@@ -13,6 +13,7 @@
 #include <string>
 
 #include "squeue/factory.hpp"
+#include "traffic/cell.hpp"
 #include "traffic/engine.hpp"
 
 namespace vl::traffic {
@@ -38,7 +39,8 @@ class QosOverHardwareBackend : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(QosOverHardwareBackend, LatencyClassMeetsSloWhileBulkAbsorbsBackpressure) {
   for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{42}}) {
-    const EngineResult r = run_scenario("qos-incast", GetParam(), seed);
+    const EngineResult r =
+        run({*find_scenario("qos-incast"), GetParam(), seed}).engine;
     const TenantMetrics& rt = tenant(r, "rt");
     const TenantMetrics& bulk = tenant(r, "bulk");
     ASSERT_GT(rt.delivered, 0u);
@@ -57,8 +59,8 @@ TEST_P(QosOverHardwareBackend, LatencyP99BeatsMixedP99WithoutQos) {
   const ScenarioSpec* spec = find_scenario("qos-incast");
   ASSERT_NE(spec, nullptr);
   for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{42}}) {
-    const EngineResult on = run_spec(*spec, GetParam(), seed);
-    const EngineResult off = run_spec(without_qos(*spec), GetParam(), seed);
+    const EngineResult on = run({*spec, GetParam(), seed}).engine;
+    const EngineResult off = run({without_qos(*spec), GetParam(), seed}).engine;
 
     LogHistogram latency_on, mixed_off;
     for (const auto& c : on.metrics.by_class())
@@ -73,12 +75,12 @@ TEST_P(QosOverHardwareBackend, LatencyP99BeatsMixedP99WithoutQos) {
 
 TEST_P(QosOverHardwareBackend, ClassWeightedSchedulingIsByteDeterministic) {
   const Backend b = GetParam();
-  const std::string a = run_scenario("qos-incast", b, 42).csv();
-  const std::string c = run_scenario("qos-incast", b, 42).csv();
+  const std::string a = run({*find_scenario("qos-incast"), b, 42}).engine.csv();
+  const std::string c = run({*find_scenario("qos-incast"), b, 42}).engine.csv();
   EXPECT_EQ(a, c);
   // And the knob does something: the ablated run produces different bytes.
   const ScenarioSpec* spec = find_scenario("qos-incast");
-  EXPECT_NE(a, run_spec(without_qos(*spec), b, 42).csv());
+  EXPECT_NE(a, run({without_qos(*spec), b, 42}).engine.csv());
 }
 
 INSTANTIATE_TEST_SUITE_P(HardwareBackends, QosOverHardwareBackend,
@@ -212,7 +214,7 @@ TEST(Qos, QosScenariosStayGreenOnSoftwareBackends) {
   // still runs green with conservation intact (covered for all presets by
   // test_engine, asserted here for the QoS pair explicitly).
   for (Backend b : {Backend::kBlfq, Backend::kZmq}) {
-    const EngineResult r = run_scenario("qos-incast", b, 7);
+    const EngineResult r = run({*find_scenario("qos-incast"), b, 7}).engine;
     for (const auto& t : r.metrics.tenants) {
       EXPECT_EQ(t.generated, t.sent + t.dropped);
       EXPECT_EQ(t.delivered, t.sent);

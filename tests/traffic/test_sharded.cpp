@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -313,31 +312,6 @@ TEST(ShardedEngine, RunsOnASoftwareBackendToo) {
                              11, small_opts(2));
   EXPECT_EQ(r.engine.metrics.total_delivered(), 2048u);
   EXPECT_GT(r.cross_shard, 0u);
-}
-
-TEST(ShardedEngine, RejectsUnshardableSpecs) {
-  const ScenarioSpec& ok = *find_scenario("shard-diurnal");
-
-  ShardedOptions opts = small_opts(2);
-  opts.population = 0;  // no ring
-  ScenarioSpec no_pop = ok;
-  no_pop.sharding.population = 0;
-  EXPECT_THROW(run_sharded(no_pop, Backend::kBlfq, 1, opts),
-               std::invalid_argument);
-
-  ScenarioSpec fan_in = ok;  // topology without a channel per consumer
-  fan_in.topology = Topology::kFanIn;
-  EXPECT_THROW(run_sharded(fan_in, Backend::kBlfq, 1, small_opts(2)),
-               std::invalid_argument);
-
-  ShardedOptions too_many = small_opts(ok.consumers + 1);
-  EXPECT_THROW(run_sharded(ok, Backend::kBlfq, 1, too_many),
-               std::invalid_argument);
-
-  ScenarioSpec shedding = ok;  // producer-side shedding is classic-only
-  shedding.tenants.back().drop_depth = 16;
-  EXPECT_THROW(run_sharded(shedding, Backend::kBlfq, 1, small_opts(2)),
-               std::invalid_argument);
 }
 
 TEST(ShardedEngine, RebalanceMovesTenantsUnderSkew) {
