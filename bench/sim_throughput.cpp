@@ -319,13 +319,14 @@ int main(int argc, char** argv) {
                 "(record in memory, then replay the trace).\n");
     return 0;
   }
-  // The default matrix fixes each row's batch, shard count and supervisor.
+  // The default matrix fixes each row's batch, shard count and supervisor,
+  // and takes no fault schedule: its wl- and replay- rows cannot.
   if (scenario.empty() && backend_s.empty() &&
       vl::bench::reject_ignored(
           argc, argv, "the default matrix (no --scenario/--backend)",
           [](std::string_view a) {
-            return vl::bench::one_of(a,
-                                     {"--shards", "--batch", "--no-supervisor"});
+            return vl::bench::one_of(
+                a, {"--shards", "--batch", "--no-supervisor", "--faults"});
           }))
     return 2;
   if (!faults.empty())

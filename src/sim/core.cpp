@@ -11,7 +11,9 @@ namespace vl::sim {
 //   * resident_ names the thread whose architectural state is on the core
 //     (hooks/ctx cost fire only when it changes); resident_blocked_ marks a
 //     resident that parked and donated its slice.
-//   * run_queue_ holds suspended acquire_port() callers, FIFO.
+//   * run_queue_[rq_head_, end) holds suspended acquire_port() callers,
+//     FIFO; grant_front() drops the consumed prefix once it is at least
+//     half the vector, so each pop is amortised O(1).
 //   * Grants always resume through the EventQueue (never inline), so
 //     scheduling order is deterministic and re-entrancy free.
 
@@ -20,13 +22,13 @@ bool Core::try_acquire_now(int tid) {
   if (resident_ == tid) {
     // The resident keeps the core between its own ops inside its slice.
     // Once the slice expired and someone is queued, it must requeue.
-    if (!run_queue_.empty() && (!within_slice() || resident_blocked_))
+    if (!run_queue_empty() && (!within_slice() || resident_blocked_))
       return false;
     resident_blocked_ = false;
     port_busy_ = true;
     return true;
   }
-  if (resident_ == -1 && run_queue_.empty()) {
+  if (resident_ == -1 && run_queue_empty()) {
     resident_ = tid;  // first occupant: free, like the original model
     resident_since_ = eq_.now();
     port_busy_ = true;
@@ -49,8 +51,8 @@ void Core::yield(int tid) {
 }
 
 void Core::maybe_grant() {
-  if (port_busy_ || run_queue_.empty()) return;
-  const PortWaiter& w = run_queue_.front();
+  if (port_busy_ || run_queue_empty()) return;
+  const PortWaiter& w = run_queue_[rq_head_];
   if (resident_ != -1 && resident_ != w.tid && !resident_blocked_ &&
       within_slice()) {
     // Resident still owns its slice: the backstop timer preempts at its
@@ -62,8 +64,12 @@ void Core::maybe_grant() {
 }
 
 void Core::grant_front() {
-  PortWaiter w = run_queue_.front();
-  run_queue_.pop_front();
+  const PortWaiter w = run_queue_[rq_head_++];
+  if (rq_head_ * 2 >= run_queue_.size()) {
+    const auto consumed = static_cast<std::ptrdiff_t>(rq_head_);
+    run_queue_.erase(run_queue_.begin(), run_queue_.begin() + consumed);
+    rq_head_ = 0;
+  }
   port_busy_ = true;
   Tick cost = 0;
   if (resident_ != w.tid) {

@@ -19,7 +19,6 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -90,7 +89,7 @@ class Core {
   /// Times a blocking thread donated its residency via yield().
   std::uint64_t yields() const { return yields_; }
   /// Threads currently queued for the issue port.
-  std::size_t run_queue_depth() const { return run_queue_.size(); }
+  std::size_t run_queue_depth() const { return run_queue_.size() - rq_head_; }
 
   // --- awaitable operations ------------------------------------------------
   Co<void> compute(int tid, std::uint64_t cycles);
@@ -136,6 +135,7 @@ class Core {
   void maybe_grant();
   void grant_front();
   void arm_preempt_timer(Tick when);
+  bool run_queue_empty() const { return rq_head_ == run_queue_.size(); }
   bool within_slice() const {
     return eq_.now() < resident_since_ + cfg_.sched_quantum;
   }
@@ -155,7 +155,10 @@ class Core {
   bool port_busy_ = false;        ///< an op currently owns the issue port
   bool resident_blocked_ = false; ///< resident yielded (parked) the core
   bool preempt_armed_ = false;
-  std::deque<PortWaiter> run_queue_;
+  // FIFO run_queue_[rq_head_, end). A vector, unlike a deque, allocates
+  // nothing until the core is first contended.
+  std::vector<PortWaiter> run_queue_;
+  std::size_t rq_head_ = 0;
   std::uint64_t ctx_switches_ = 0;
   std::uint64_t yields_ = 0;
   std::vector<CtxSwitchHook> hooks_;

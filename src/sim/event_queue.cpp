@@ -6,7 +6,8 @@
 
 namespace vl::sim {
 
-EventQueue::EventQueue() : ring_(kRingSize) {}
+EventQueue::EventQueue()
+    : ring_(std::make_unique_for_overwrite<Bucket[]>(kRingSize)) {}
 
 std::uint32_t EventQueue::alloc_node(std::uint64_t seq, Fn fn) {
   std::uint32_t i = free_;
@@ -30,12 +31,13 @@ void EventQueue::schedule_at(Tick when, Fn fn) {
   const std::uint64_t seq = seq_++;
   const std::uint32_t i = alloc_node(seq, std::move(fn));
   if (when - now_ < kRingSize) {
-    Bucket& b = ring_[when & kRingMask];
-    if (b.tail == kNil) {
-      b.head = i;
-      set_bit(when & kRingMask);
-    } else {
+    const std::size_t k = when & kRingMask;
+    Bucket& b = ring_[k];
+    if (test_bit(k)) {
       slab_[b.tail].next = i;
+    } else {
+      b.head = i;
+      set_bit(k);
     }
     b.tail = i;
   } else {
@@ -65,11 +67,12 @@ std::optional<Tick> EventQueue::next_ring_tick() const {
 
 void EventQueue::migrate_far(Tick t) {
   if (far_.empty() || far_.front().when != t) return;
-  Bucket& b = ring_[t & kRingMask];
+  const std::size_t k = t & kRingMask;
+  Bucket& b = ring_[k];
   // A far event for t was scheduled while t lay beyond the horizon, so
   // before every near event for t: the due run, popped seq-ascending, goes
   // ahead of the bucket's whole list.
-  const std::uint32_t near = b.head;
+  const std::uint32_t near = test_bit(k) ? b.head : kNil;
   std::uint32_t* link = &b.head;
   std::uint32_t last = kNil;
   while (!far_.empty() && far_.front().when == t) {
@@ -82,7 +85,7 @@ void EventQueue::migrate_far(Tick t) {
   }
   *link = near;
   if (near == kNil) b.tail = last;
-  set_bit(t & kRingMask);
+  set_bit(k);
 }
 
 std::optional<Tick> EventQueue::peek_next_tick() const {
@@ -99,15 +102,13 @@ bool EventQueue::step() {
     now_ = *t;
     migrate_far(*t);
   }
-  Bucket& b = ring_[now_ & kRingMask];
+  const std::size_t k = now_ & kRingMask;
+  assert(test_bit(k));
+  Bucket& b = ring_[k];
   const std::uint32_t i = b.head;
-  assert(i != kNil);
   Node& n = slab_[i];
   b.head = n.next;
-  if (b.head == kNil) {
-    b.tail = kNil;
-    clear_bit(now_ & kRingMask);
-  }
+  if (b.head == kNil) clear_bit(k);
   // Move the callable out and free the node before invoking it: fn may
   // schedule, and a slab that grows relocates every node.
   EventFn fn = std::move(n.fn);

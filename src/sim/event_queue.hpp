@@ -23,7 +23,9 @@
 //     {head, tail} FIFO linked through the slab, so the ring is a fixed
 //     64 KB. Scheduling and firing are O(1); a 128-word occupancy bitmap
 //     (one bit per bucket) finds the next occupied tick with a linear
-//     countr_zero scan of at most 129 words.
+//     countr_zero scan of at most 129 words. The bitmap is the only record
+//     of which buckets are empty: a bucket's {head, tail} is meaningful
+//     only while its bit is set, so the ring is allocated uninitialised.
 //   * Events beyond the ring horizon sit in a binary min-heap of
 //     {when, seq, node} entries (the callable stays in its slab node).
 //     When the clock reaches their tick they are relinked, in sequence
@@ -194,9 +196,9 @@ class EventQueue {
     std::uint32_t next;  // bucket FIFO link, or free-list link once fired
     EventFn fn;
   };
-  struct Bucket {  // seq-ascending FIFO of slab nodes
-    std::uint32_t head = kNil;
-    std::uint32_t tail = kNil;
+  struct Bucket {  // seq-ascending FIFO of slab nodes; read only under its bit
+    std::uint32_t head;
+    std::uint32_t tail;
   };
   struct FarEv {
     Tick when;
@@ -209,6 +211,7 @@ class EventQueue {
     }
   };
 
+  bool test_bit(std::size_t i) const { return (bits_[i >> 6] >> (i & 63)) & 1; }
   void set_bit(std::size_t i) { bits_[i >> 6] |= std::uint64_t{1} << (i & 63); }
   void clear_bit(std::size_t i) {
     bits_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
@@ -227,7 +230,7 @@ class EventQueue {
   std::uint64_t executed_ = 0;
   std::vector<Node> slab_;
   std::uint32_t free_ = kNil;  // LIFO free list through Node::next
-  std::vector<Bucket> ring_;
+  std::unique_ptr<Bucket[]> ring_;  // kRingSize buckets, uninitialised
   std::array<std::uint64_t, kRingSize / 64> bits_{};
   std::vector<FarEv> far_;  // binary heap under FarAfter
   obs::TraceBuffer* trace_ = nullptr;

@@ -25,8 +25,7 @@ Vlrd::Vlrd(sim::EventQueue& eq, mem::Hierarchy& hier,
            const sim::VlrdConfig& cfg)
     : eq_(eq), hier_(hier), cfg_(cfg) {
   if (cfg_.ideal) {
-    ideal_data_.resize(std::size_t{1} << kSqiBits);
-    ideal_waiters_.resize(std::size_t{1} << kSqiBits);
+    ideal_.resize(std::size_t{1} << kSqiBits);
   } else {
     link_tab_.resize(cfg_.link_entries);
     prod_buf_.resize(cfg_.prod_entries);
@@ -573,23 +572,31 @@ void Vlrd::injector_done(std::uint16_t idx) {
 // VL(ideal): unbounded, zero-latency reference model
 // --------------------------------------------------------------------------
 
+Vlrd::IdealSqi& Vlrd::ideal_sqi(Sqi sqi) {
+  std::unique_ptr<IdealSqi>& q = ideal_[sqi];
+  if (!q) q = std::make_unique<IdealSqi>();
+  return *q;
+}
+
 bool Vlrd::ideal_push(Sqi sqi, const mem::Line& data) {
-  ideal_data_[sqi].push_back(data);
-  ideal_deliver(sqi);
+  IdealSqi& q = ideal_sqi(sqi);
+  q.data.push_back(data);
+  ideal_deliver(q);
   return true;
 }
 
 bool Vlrd::ideal_fetch(Sqi sqi, Addr tgt, CoreId core) {
-  for (const auto& w : ideal_waiters_[sqi])
+  IdealSqi& q = ideal_sqi(sqi);
+  for (const auto& w : q.waiters)
     if (w.tgt == tgt) return true;  // idempotent re-registration
-  ideal_waiters_[sqi].push_back(IdealWaiter{tgt, core});
-  ideal_deliver(sqi);
+  q.waiters.push_back(IdealWaiter{tgt, core});
+  ideal_deliver(q);
   return true;
 }
 
-void Vlrd::ideal_deliver(Sqi sqi) {
-  auto& data = ideal_data_[sqi];
-  auto& waiters = ideal_waiters_[sqi];
+void Vlrd::ideal_deliver(IdealSqi& q) {
+  auto& data = q.data;
+  auto& waiters = q.waiters;
   while (!data.empty() && !waiters.empty()) {
     const IdealWaiter w = waiters.front();
     waiters.pop_front();
@@ -625,7 +632,10 @@ std::uint32_t Vlrd::cons_free_slots() const {
 }
 
 std::uint32_t Vlrd::queued_data(Sqi sqi) const {
-  if (cfg_.ideal) return static_cast<std::uint32_t>(ideal_data_[sqi].size());
+  if (cfg_.ideal) {
+    const IdealSqi* q = ideal_[sqi].get();
+    return q ? static_cast<std::uint32_t>(q->data.size()) : 0;
+  }
   std::uint32_t n = 0;
   for (std::uint16_t i = link_tab_[sqi].prod_head; i != kNil;
        i = prod_buf_[i].next_l)
@@ -635,9 +645,10 @@ std::uint32_t Vlrd::queued_data(Sqi sqi) const {
 
 std::vector<std::vector<mem::Line>> Vlrd::snapshot_resident() const {
   if (cfg_.ideal) {
-    std::vector<std::vector<mem::Line>> out(ideal_data_.size());
-    for (std::size_t s = 0; s < ideal_data_.size(); ++s)
-      out[s].assign(ideal_data_[s].begin(), ideal_data_[s].end());
+    std::vector<std::vector<mem::Line>> out(ideal_.size());
+    for (std::size_t s = 0; s < ideal_.size(); ++s)
+      if (const IdealSqi* q = ideal_[s].get())
+        out[s].assign(q->data.begin(), q->data.end());
     return out;
   }
   std::vector<std::vector<mem::Line>> out(link_tab_.size());
@@ -662,8 +673,10 @@ std::vector<std::vector<mem::Line>> Vlrd::snapshot_resident() const {
 }
 
 std::uint32_t Vlrd::queued_requests(Sqi sqi) const {
-  if (cfg_.ideal)
-    return static_cast<std::uint32_t>(ideal_waiters_[sqi].size());
+  if (cfg_.ideal) {
+    const IdealSqi* q = ideal_[sqi].get();
+    return q ? static_cast<std::uint32_t>(q->waiters.size()) : 0;
+  }
   std::uint32_t n = 0;
   for (std::uint16_t i = link_tab_[sqi].cons_head; i != kNil;
        i = cons_buf_[i].next_l)

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -264,9 +265,11 @@ class Vlrd {
   std::uint16_t pop_out();
 
   // VL(ideal) fast path
+  struct IdealSqi;
+  IdealSqi& ideal_sqi(Sqi sqi);
   bool ideal_push(Sqi sqi, const mem::Line& data);
   bool ideal_fetch(Sqi sqi, Addr tgt, CoreId core);
-  void ideal_deliver(Sqi sqi);
+  void ideal_deliver(IdealSqi& q);
 
   sim::EventQueue& eq_;
   mem::Hierarchy& hier_;
@@ -293,13 +296,17 @@ class Vlrd {
   std::function<void(std::optional<Sqi>)> on_push_retry_;
   PushNack last_push_nack_ = PushNack::kNone;
 
-  // VL(ideal) storage
+  // VL(ideal) storage: one slot per SQI, whose FIFOs are created on that
+  // SQI's first push or fetch (null until then).
   struct IdealWaiter {
     Addr tgt;
     CoreId core;
   };
-  std::vector<std::deque<mem::Line>> ideal_data_;
-  std::vector<std::deque<IdealWaiter>> ideal_waiters_;
+  struct IdealSqi {
+    std::deque<mem::Line> data;
+    std::deque<IdealWaiter> waiters;
+  };
+  std::vector<std::unique_ptr<IdealSqi>> ideal_;
 };
 
 }  // namespace vl::vlrd

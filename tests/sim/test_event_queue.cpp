@@ -3,11 +3,33 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <map>
+#include <new>
 #include <set>
 #include <utility>
 #include <vector>
+
+// Global operator new replaced for this test binary only: every allocation
+// comes back filled with 0xA5, so a read of storage the code under test
+// allocated but never wrote sees garbage (an out-of-range bucket link)
+// rather than whatever zeroes the heap held.
+namespace {
+void* poisoned_new(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (!p) throw std::bad_alloc();
+  return std::memset(p, 0xA5, n);
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return poisoned_new(n); }
+void* operator new[](std::size_t n) { return poisoned_new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace vl::sim {
 namespace {
@@ -198,6 +220,53 @@ TEST(EventQueue, MatchesReferenceModelUnderRandomLoad) {
   for (const auto& [tick, k] : kinds)
     merged_cascades += k == (kNear | kFar | kSameTick);
   EXPECT_GE(merged_cascades, 20u);
+
+  // Fresh queue: its ring is allocated uninitialised (0xA5 garbage under
+  // this binary's operator new), so every bucket must be read only under
+  // its occupancy bit. Its first events land in never-used buckets; then
+  // a run_until jump of more than two ring laps, a far run relinked into a
+  // bucket that never held a near event, and far + near + same-tick
+  // cascade on one tick.
+  EventQueue fresh;
+  ref.clear();
+  id = fired = 0;
+  std::function<void(Tick, std::function<void()>)> at =
+      [&](Tick when, std::function<void()> then) {
+        const std::uint64_t my_id = id++;
+        ref.emplace(when, my_id);
+        fresh.schedule_at(when, [&, when, my_id, then = std::move(then)] {
+          ASSERT_FALSE(ref.empty());
+          ASSERT_EQ(*ref.begin(), std::make_pair(when, my_id)) << my_id;
+          ASSERT_EQ(fresh.now(), when);
+          ref.erase(ref.begin());
+          ++fired;
+          if (then) then();
+        });
+      };
+  EXPECT_FALSE(fresh.peek_next_tick().has_value());
+  for (const Tick t : {Tick{3}, Tick{3}, Tick{700}, Tick{8191}}) at(t, {});
+  EXPECT_EQ(fresh.peek_next_tick(), Tick{3});
+  fresh.run_until(8191);
+  EXPECT_EQ(fired, 4u);
+  const Tick jump = 8191 + 2 * Tick{8192} + 777;  // > two ring laps
+  const Tick t1 = jump + 50;          // far now, near after the jump
+  const Tick t2 = jump + 8192 + 900;  // far even after the jump
+  at(t1, {});
+  at(t1 + 1, {});  // far run alone in its bucket
+  fresh.run_until(jump);
+  EXPECT_EQ(fresh.now(), jump);
+  EXPECT_EQ(fresh.peek_next_tick(), t1);
+  at(t1, [&] { at(t1, {}); });  // near behind the far run, then a cascade
+  at(t2 - 100, [&] {
+    at(t2, [&] { at(t2, {}); });  // near + same-tick cascade behind far
+    at(t2 + 5, {});
+  });
+  at(t2, {});  // still far from here
+  fresh.run();
+  EXPECT_TRUE(ref.empty());
+  EXPECT_EQ(fired, id);
+  EXPECT_EQ(fired, 13u);
+  EXPECT_EQ(fresh.now(), t2 + 5);
 }
 
 TEST(EventQueue, SlabIsBoundedByPeakPendingNotByTicksVisited) {

@@ -189,6 +189,15 @@ TEST_F(VlrdFixture, IdealModeNeverNacks) {
   for (int i = 0; i < 10000; ++i) ASSERT_TRUE(dev.push(1, make_line(1)));
   EXPECT_EQ(dev.stats().push_nacks, 0u);
   EXPECT_EQ(dev.queued_data(1), 10000u);
+  // SQIs never pushed to or fetched from hold nothing; a fetch alone
+  // creates its SQI's queues.
+  EXPECT_EQ(dev.queued_data(2), 0u);
+  EXPECT_EQ(dev.queued_requests(2), 0u);
+  ASSERT_TRUE(dev.fetch(3, 0x50000, 0));
+  EXPECT_EQ(dev.queued_requests(3), 1u);
+  EXPECT_EQ(dev.queued_data(3), 0u);
+  EXPECT_EQ(dev.snapshot_resident()[1].size(), 10000u);
+  EXPECT_TRUE(dev.snapshot_resident()[2].empty());
 }
 
 TEST_F(VlrdFixture, IdealModeDeliversInOrder) {
